@@ -1,11 +1,13 @@
 //! Microbenchmarks of the shortage-path fast lane's hot helpers: peer
-//! ranking (allocating vs. scratch-buffer reuse) and replication-delta
-//! coalescing. Both sit inside per-message handlers, so their constant
-//! factors show up directly in simulated-run wall time.
+//! ranking (allocating vs. scratch-buffer reuse), burst selection over
+//! the asked set, flight-ring recording (eager vs. deferred details) and
+//! replication-delta coalescing. All sit inside per-message handlers, so
+//! their constant factors show up directly in simulated-run wall time.
 
 use avdb_core::{coalesce_deltas, KnowledgeExchange, PropagateDelta};
-use avdb_escrow::PeerKnowledge;
-use avdb_simnet::{Event, EventQueue};
+use avdb_escrow::{MostKnownAv, PeerKnowledge, PeerSet, SelectStrategy};
+use avdb_simnet::{DetRng, Event, EventQueue};
+use avdb_telemetry::FlightRecorder;
 use avdb_types::{ProductId, SiteId, TxnId, VirtualTime, Volume};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -46,6 +48,99 @@ fn bench_ranked_peers(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// Operations per timed iteration in the batched groups below, so the
+/// harness's per-iteration clock reads stay negligible next to the work.
+const BATCH: u64 = 256;
+
+fn bench_select_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("select_many");
+    group.sample_size(100).throughput(Throughput::Elements(BATCH));
+    for &sites in &[8usize, 32, 64] {
+        let k = knowledge(sites, 4);
+        let me = SiteId(1);
+        // Half full: every other peer was asked earlier in the
+        // negotiation, as after a long run of zero grants.
+        let half: PeerSet = SiteId::all(sites).filter(|s| s.0 % 2 == 0 && *s != me).collect();
+        for (label, prior) in [("asked_empty", PeerSet::new()), ("asked_half", half)] {
+            group.bench_function(format!("{sites}_sites/{label}"), |b| {
+                let mut asked = prior.clone();
+                let mut out = Vec::with_capacity(2);
+                let mut rng = DetRng::new(1);
+                b.iter(|| {
+                    for _ in 0..BATCH {
+                        MostKnownAv.select_many(
+                            me,
+                            sites,
+                            ProductId(2),
+                            &k,
+                            &mut asked,
+                            VirtualTime::ZERO,
+                            &mut rng,
+                            2,
+                            &mut out,
+                        );
+                        // Undo the burst so every call sees the same set.
+                        for &p in &out {
+                            asked.remove(p);
+                        }
+                    }
+                    black_box(&out);
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The `delay.select` detail line, rendered from its fields.
+fn render_select(out: &mut String, f: &[u64; 4]) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} asks s{} (knowledge {} ticks old)", f[0], f[1], f[2]);
+}
+
+fn bench_flight_record(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flight_record");
+    group.sample_size(100).throughput(Throughput::Elements(BATCH));
+    // A saturated ring, as in any run past its first 256 events.
+    let saturated = || {
+        let mut r = FlightRecorder::default();
+        for i in 0..r.capacity() as u64 {
+            r.record_args(i, i, "delay.select", format_args!("warm {i}"));
+        }
+        r
+    };
+    group.bench_function("eager", |b| {
+        let mut r = saturated();
+        let mut n = 0u64;
+        b.iter(|| {
+            for _ in 0..BATCH {
+                n += 1;
+                let (txn, peer, staleness) = ((7 << 40) | n, n % 32, n % 977);
+                r.record_args(
+                    n,
+                    n,
+                    "delay.select",
+                    format_args!("txn {} asks s{} (knowledge {} ticks old)", txn, peer, staleness),
+                );
+            }
+            black_box(r.recorded())
+        })
+    });
+    group.bench_function("deferred", |b| {
+        let mut r = saturated();
+        let mut n = 0u64;
+        b.iter(|| {
+            for _ in 0..BATCH {
+                n += 1;
+                let (txn, peer, staleness) = ((7 << 40) | n, n % 32, n % 977);
+                r.record_fields(n, n, "delay.select", render_select, [txn, peer, staleness, 0]);
+            }
+            black_box(r.recorded())
+        })
+    });
     group.finish();
 }
 
@@ -167,6 +262,8 @@ fn bench_event_queue(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ranked_peers,
+    bench_select_many,
+    bench_flight_record,
     bench_coalesce,
     bench_knowledge_exchange,
     bench_event_queue

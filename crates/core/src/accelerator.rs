@@ -2,25 +2,26 @@
 //! implementing the checking / selecting / deciding functions plus the
 //! Delay and Immediate Update protocols (paper §3.3–3.4).
 
+use crate::flight_notes as notes;
+use crate::knowledge::KnowledgeExchange;
 use crate::protocol::{
     Input, Msg, PropagateDelta, TracedMsg, MSG_KIND_COUNT, RECV_COUNTER_KEYS, SENT_COUNTER_KEYS,
 };
-use crate::knowledge::KnowledgeExchange;
 use crate::replication::Frame;
 use crate::replication_drive::ReplicationDrive;
 use avdb_escrow::{
     make_decide, make_select, partition_shortage_expected, AvTable, DecideStrategy, PeerKnowledge,
-    SelectStrategy, TransferLedger, TransferRecord,
+    PeerSet, SelectStrategy, TransferLedger, TransferRecord,
 };
 use avdb_simnet::{Actor, Ctx};
 use avdb_storage::{LocalDb, LockMode};
 use avdb_telemetry::{
     aux_trace_id, build_profile, evaluate_slo, FlightDump, FlightRecorder, MetricId, PhaseProfile,
-    Registry, SeriesRecorder, SeriesSnapshot, SloReport, SloSpec, SpanCollector, SpanView,
-    TraceContext, TraceSampler, LANE_DELAY, LANE_IMM,
+    Registry, RenderDetail, SeriesRecorder, SeriesSnapshot, SloReport, SloSpec, SpanCollector,
+    SpanView, TraceContext, TraceSampler, LANE_DELAY, LANE_IMM,
 };
 use avdb_types::{
-    request::AbortReason, AvdbError, ProductId, SiteId, SystemConfig, TxnId, UpdateKind,
+    request::AbortReason, AvdbError, FastMap, ProductId, SiteId, SystemConfig, TxnId, UpdateKind,
     UpdateOutcome, UpdateRequest, VirtualTime, Volume,
 };
 use serde::{Deserialize, Serialize};
@@ -216,7 +217,7 @@ struct PendingDelay {
     /// Index of the item currently being negotiated.
     current: usize,
     /// Peers already asked for the *current* item.
-    asked: Vec<SiteId>,
+    asked: PeerSet,
     /// AV requests currently in flight: `(peer, product)` per request.
     /// The serial path keeps at most one entry; the fan-out path keeps
     /// one per burst member, and stragglers for an already-satisfied
@@ -262,6 +263,14 @@ struct PendingImm {
     decide_span: Option<u64>,
     /// When the update was submitted (latency accounting).
     started_at: VirtualTime,
+}
+
+/// Reusable buffers of [`Accelerator::request_more_av`].
+#[derive(Debug, Default)]
+struct NegotiationScratch {
+    picks: Vec<SiteId>,
+    expected: Vec<Volume>,
+    shares: Vec<Volume>,
 }
 
 /// Why a timer was armed.
@@ -350,14 +359,14 @@ pub struct Accelerator {
     /// Gateway correlation tags by transaction, stamped into the outcome
     /// at emit time. Volatile: a crash drops the tags, and the re-reported
     /// outcomes surface untagged (the gateway treats that as a timeout).
-    client_tags: HashMap<TxnId, u64>,
-    pending_delay: HashMap<TxnId, PendingDelay>,
-    pending_imm: HashMap<TxnId, PendingImm>,
+    client_tags: FastMap<TxnId, u64>,
+    pending_delay: FastMap<TxnId, PendingDelay>,
+    pending_imm: FastMap<TxnId, PendingImm>,
     /// Remote Immediate txns this site has prepared (participant role).
     prepared_remote: BTreeSet<TxnId>,
     /// Coordinator role: commit decisions not yet acknowledged by every
     /// participant, retransmitted on a timer (see [`RetransmitImm`]).
-    retransmit_imm: HashMap<TxnId, RetransmitImm>,
+    retransmit_imm: FastMap<TxnId, RetransmitImm>,
     /// Coordinator role: Immediate txns durably decided commit (the WAL
     /// holds their commit record) whose outcome had not been reported
     /// when this site crashed. Survives the crash — the decision is
@@ -371,7 +380,7 @@ pub struct Accelerator {
     /// WAL's committed/aborted txn ids, so it survives crashes.
     imm_finished: BTreeSet<TxnId>,
     /// Armed timers by token.
-    timers: HashMap<u64, TimerKind>,
+    timers: FastMap<u64, TimerKind>,
     next_timer: u64,
     /// Replication drive: log + per-peer cursors + checkpoint prefix plus
     /// the gauges derived from them. The log is durable — recomputable
@@ -416,6 +425,10 @@ pub struct Accelerator {
     /// paths (propagation, Immediate prepare/decide) never allocate a
     /// fresh peer list.
     peer_scratch: Vec<SiteId>,
+    /// Scratch buffers for one shortage round (the burst's picks, their
+    /// expected yields and request shares), reused across AV rounds the
+    /// way [`Self::peer_scratch`] is.
+    negotiation_scratch: NegotiationScratch,
 
     /// Always-on flight recorder: a bounded ring of recent protocol
     /// events. Like spans, it deliberately survives crashes — it is the
@@ -572,14 +585,14 @@ impl Accelerator {
             stats: AcceleratorStats::default(),
             next_seq: 0,
             pending_client_tag: None,
-            client_tags: HashMap::new(),
-            pending_delay: HashMap::new(),
-            pending_imm: HashMap::new(),
+            client_tags: FastMap::default(),
+            pending_delay: FastMap::default(),
+            pending_imm: FastMap::default(),
             prepared_remote: BTreeSet::new(),
-            retransmit_imm: HashMap::new(),
+            retransmit_imm: FastMap::default(),
             unreported_imm: Vec::new(),
             imm_finished: BTreeSet::new(),
-            timers: HashMap::new(),
+            timers: FastMap::default(),
             next_timer: 0,
             repl,
             anti_entropy_armed: false,
@@ -593,6 +606,7 @@ impl Accelerator {
             clock: 0,
             aux_seq: 0,
             peer_scratch: Vec::new(),
+            negotiation_scratch: NegotiationScratch::default(),
             flight: FlightRecorder::default(),
             flight_dir: None,
             ids,
@@ -820,14 +834,14 @@ impl Accelerator {
             stats: AcceleratorStats::default(),
             next_seq: snap.next_seq,
             pending_client_tag: None,
-            client_tags: HashMap::new(),
-            pending_delay: HashMap::new(),
-            pending_imm: HashMap::new(),
+            client_tags: FastMap::default(),
+            pending_delay: FastMap::default(),
+            pending_imm: FastMap::default(),
             prepared_remote: BTreeSet::new(),
-            retransmit_imm: HashMap::new(),
+            retransmit_imm: FastMap::default(),
             unreported_imm: Vec::new(),
             imm_finished: BTreeSet::new(),
-            timers: HashMap::new(),
+            timers: FastMap::default(),
             next_timer: 0,
             repl,
             anti_entropy_armed: false,
@@ -841,6 +855,7 @@ impl Accelerator {
             clock: 0,
             aux_seq: 0,
             peer_scratch: Vec::new(),
+            negotiation_scratch: NegotiationScratch::default(),
             flight: FlightRecorder::default(),
             flight_dir: None,
             ids,
@@ -947,6 +962,18 @@ impl Accelerator {
     /// `String` per event would dominate the allocator at scale.
     fn flight_args(&mut self, at: VirtualTime, kind: &'static str, args: std::fmt::Arguments<'_>) {
         self.flight.record_args(at.0, self.clock, kind, args);
+    }
+
+    /// [`Accelerator::flight_note`] for integer-only details: the ring
+    /// keeps `fields` and `render` formats them only when it is read.
+    fn flight_fields(
+        &mut self,
+        at: VirtualTime,
+        kind: &'static str,
+        render: RenderDetail,
+        fields: [u64; 4],
+    ) {
+        self.flight.record_fields(at.0, self.clock, kind, render, fields);
     }
 
     /// Promotes an anomalous trace (abort, shortage, latency outlier) out
@@ -1108,10 +1135,11 @@ impl Accelerator {
             } else {
                 0
             };
-            self.flight_args(
+            self.flight_fields(
                 ctx.now(),
                 "rebalance.push",
-                format_args!("{} of P{} to s{}", sent.get(), product.0, peer.0),
+                notes::rebalance_push,
+                [sent.get() as u64, u64::from(product.0), u64::from(peer.0), 0],
             );
             self.send_traced(
                 ctx,
@@ -1296,16 +1324,11 @@ impl Accelerator {
                 covers.saturating_sub(deltas.len() as u64),
             );
         }
-        self.flight_args(
+        self.flight_fields(
             ctx.now(),
             "repl.send",
-            format_args!(
-                "to s{} offset {} ({} deltas covering {})",
-                peer.0,
-                offset,
-                deltas.len(),
-                covers,
-            ),
+            notes::repl_send,
+            [u64::from(peer.0), offset, deltas.len() as u64, covers],
         );
         let knowledge = self.knowledge.encode_digest_for(self.me, peer);
         self.send_traced(
@@ -1351,10 +1374,11 @@ impl Accelerator {
             self.clock,
             format_args!("{} item(s) → Delay", raw_items.len()),
         );
-        self.flight_args(
+        self.flight_fields(
             ctx.now(),
             "delay.begin",
-            format_args!("txn {} ({} item(s))", txn.0, raw_items.len()),
+            notes::delay_begin,
+            [txn.0, raw_items.len() as u64, 0, 0],
         );
         self.db.begin(txn).expect("fresh txn id");
         // Merge repeated products to their net delta (first-appearance
@@ -1396,7 +1420,7 @@ impl Accelerator {
             let pending = PendingDelay {
                 items,
                 current: 0,
-                asked: Vec::new(),
+                asked: PeerSet::new(),
                 outstanding: Vec::new(),
                 correspondences: 0,
                 root_span,
@@ -1412,7 +1436,7 @@ impl Accelerator {
         let pending = PendingDelay {
             items,
             current,
-            asked: Vec::new(),
+            asked: PeerSet::new(),
             outstanding: Vec::new(),
             correspondences: 0,
             root_span,
@@ -1467,7 +1491,9 @@ impl Accelerator {
             pending.had_shortage = true;
             std::mem::take(&mut pending.asked)
         };
-        let mut picks: Vec<SiteId> = Vec::new();
+        let NegotiationScratch { mut picks, mut expected, mut shares } =
+            std::mem::take(&mut self.negotiation_scratch);
+        picks.clear();
         if k <= 1 {
             if budget > 0 {
                 if let Some(peer) = self.select.select(
@@ -1479,7 +1505,7 @@ impl Accelerator {
                     ctx.now(),
                     ctx.rng(),
                 ) {
-                    asked.push(peer);
+                    asked.insert(peer);
                     picks.push(peer);
                 }
             }
@@ -1509,10 +1535,6 @@ impl Accelerator {
                     break;
                 }
             }
-            if keep < picks.len() {
-                asked.truncate(asked.len() - (picks.len() - keep));
-                picks.truncate(keep);
-            }
             // Knowledge-driven width: peers believed to hold nothing sort
             // to the back of the ranking, and asking several of them in
             // parallel just multiplies the blind shots the serial path
@@ -1523,11 +1545,11 @@ impl Accelerator {
                 .iter()
                 .take_while(|p| self.knowledge.known(**p, product).is_positive())
                 .count();
-            let keep = positive.max(1).min(picks.len());
-            if keep < picks.len() {
-                asked.truncate(asked.len() - (picks.len() - keep));
-                picks.truncate(keep);
+            let keep = keep.min(positive.max(1));
+            for &dropped in &picks[keep..] {
+                asked.remove(dropped);
             }
+            picks.truncate(keep);
         }
         let pending = self.pending_delay.get_mut(&txn).expect("checked above");
         pending.asked = asked;
@@ -1560,6 +1582,7 @@ impl Accelerator {
                     client: None,
                 },
             );
+            self.negotiation_scratch = NegotiationScratch { picks, expected, shares };
             return;
         }
         if picks.len() >= 2 {
@@ -1571,11 +1594,10 @@ impl Accelerator {
         // it, not an even k-th (which would force a second round for the
         // remainder the mis-split left behind). Residue beliefs cannot
         // cover is spread evenly across the burst.
-        let expected: Vec<Volume> = picks
-            .iter()
-            .map(|p| Volume(self.knowledge.known(*p, product).get().max(0) / 2))
-            .collect();
-        let mut shares: Vec<Volume> = Vec::with_capacity(picks.len());
+        expected.clear();
+        expected.extend(
+            picks.iter().map(|p| Volume(self.knowledge.known(*p, product).get().max(0) / 2)),
+        );
         partition_shortage_expected(shortage, &expected, &mut shares);
         let requester_rate = self.local_rate(product);
         for (i, &peer) in picks.iter().enumerate() {
@@ -1587,10 +1609,11 @@ impl Accelerator {
             // Live gauge: how stale the knowledge *selecting* just
             // consumed for this peer was, in ticks.
             self.registry.set_gauge_id(self.ids.staleness[peer.index()], staleness as i64);
-            self.flight_args(
+            self.flight_fields(
                 ctx.now(),
                 "delay.select",
-                format_args!("txn {} asks s{} (knowledge {staleness} ticks old)", txn.0, peer.0),
+                notes::delay_select,
+                [txn.0, u64::from(peer.0), staleness, 0],
             );
             let clock = self.tick();
             self.spans.instant_args(
@@ -1634,6 +1657,7 @@ impl Accelerator {
             let timeout = self.cfg.av_grant_timeout;
             self.arm_timer(ctx, timeout, TimerKind::AvGrant(txn, peer, product));
         }
+        self.negotiation_scratch = NegotiationScratch { picks, expected, shares };
     }
 
     /// Ends every still-open transfer span of a finished negotiation (the
@@ -1700,15 +1724,11 @@ impl Accelerator {
             clock,
             format_args!("{} item(s)", pending.items.len()),
         );
-        self.flight_args(
+        self.flight_fields(
             ctx.now(),
             "delay.commit",
-            format_args!(
-                "txn {} ({} item(s), {} correspondence(s))",
-                txn.0,
-                pending.items.len(),
-                pending.correspondences
-            ),
+            notes::delay_commit,
+            [txn.0, pending.items.len() as u64, pending.correspondences, 0],
         );
         for item in &pending.items {
             self.buffer_propagation(ctx, txn, item.product, item.delta, commit_span);
@@ -2098,10 +2118,11 @@ impl Accelerator {
             clock,
             format_args!("ready={ready}"),
         );
-        self.flight_args(
+        self.flight_fields(
             ctx.now(),
             "imm.prepare",
-            format_args!("txn {} from s{} ready={ready}", txn.0, from.0),
+            notes::imm_prepare,
+            [txn.0, u64::from(from.0), u64::from(ready), 0],
         );
         self.reply_along(ctx, from, incoming, span, Msg::ImmVote { txn, ready });
     }
@@ -2191,7 +2212,12 @@ impl Accelerator {
             self.arm_timer(ctx, timeout, TimerKind::ImmRetransmit(txn));
         }
         self.put_peers(peers);
-        self.flight_args(ctx.now(), "imm.decide", format_args!("txn {} commit={commit}", txn.0));
+        self.flight_fields(
+            ctx.now(),
+            "imm.decide",
+            notes::imm_decide,
+            [txn.0, u64::from(commit), 0, 0],
+        );
         if commit {
             self.db.commit(txn).expect("txn active");
             self.stats.imm_commits += 1;
@@ -2766,10 +2792,11 @@ impl Actor for Accelerator {
                         )
                     })
                     .unwrap_or(0);
-                self.flight_args(
+                self.flight_fields(
                     ctx.now(),
                     "repl.apply",
-                    format_args!("from s{}: {} fresh, ack upto {upto}", from.0, fresh.len()),
+                    notes::repl_apply,
+                    [u64::from(from.0), fresh.len() as u64, upto, 0],
                 );
                 for d in &fresh {
                     self.db
@@ -2871,7 +2898,7 @@ impl Actor for Accelerator {
         // No handler context here (the fault injector stops the site from
         // outside), so the crash event reuses the last recorded tick —
         // the crash happened at-or-after the last thing the ring saw.
-        let last_at = self.flight.events().last().map(|e| e.at).unwrap_or(0);
+        let last_at = self.flight.last_at().unwrap_or(0);
         let wiped = self.pending_delay.len() + self.pending_imm.len();
         self.flight
             .record(last_at, self.clock, "site.crash", format!("{wiped} in-flight wiped"));
@@ -2885,12 +2912,14 @@ impl Actor for Accelerator {
         // re-report at recovery; everything else is genuinely wiped. The
         // wiped counter above still includes them so a never-recovered
         // site keeps the old accounting; re-reporting decrements it.
-        let decided: Vec<TxnId> = self
+        let mut decided: Vec<TxnId> = self
             .pending_imm
             .iter()
             .filter(|(_, p)| p.decided == Some(true))
             .map(|(txn, _)| *txn)
             .collect();
+        // Map order is arbitrary: re-report in txn order.
+        decided.sort_unstable();
         for txn in decided {
             let pending = self.pending_imm.remove(&txn).expect("just listed");
             self.unreported_imm.push((txn, pending));

@@ -32,6 +32,7 @@
 //! threaded live transport.
 
 pub mod accelerator;
+mod flight_notes;
 pub mod knowledge;
 pub mod persist;
 pub mod protocol;

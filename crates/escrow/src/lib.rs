@@ -23,16 +23,18 @@
 //!   by global state.
 //!
 //! Modules: [`table`] (per-site AV accounting), [`knowledge`] (stale peer
-//! views), [`strategy`] (selecting/deciding functions incl. the SODA '99
+//! views), [`peer_set`] (the selecting loop's asked set), [`strategy`] (selecting/deciding functions incl. the SODA '99
 //! request-shortage/grant-half rule), [`ledger`] (transfer audit trail).
 
 pub mod knowledge;
 pub mod ledger;
+pub mod peer_set;
 pub mod strategy;
 pub mod table;
 
 pub use knowledge::PeerKnowledge;
 pub use ledger::{TransferLedger, TransferRecord};
+pub use peer_set::PeerSet;
 pub use strategy::{
     make_decide, make_select, partition_shortage, partition_shortage_expected, DecideStrategy,
     GrantAll, GrantDoubleShortage,

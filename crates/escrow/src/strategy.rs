@@ -10,6 +10,7 @@
 //! (DESIGN.md A1/A2) swap in the alternatives implemented here.
 
 use crate::knowledge::PeerKnowledge;
+use crate::peer_set::PeerSet;
 use avdb_simnet::DetRng;
 use avdb_types::{
     DecideStrategyKind, ProductId, SelectStrategyKind, SiteId, VirtualTime, Volume,
@@ -32,20 +33,21 @@ pub trait SelectStrategy: Send + std::fmt::Debug {
         n_sites: usize,
         product: ProductId,
         knowledge: &PeerKnowledge,
-        already_asked: &[SiteId],
+        already_asked: &PeerSet,
         now: VirtualTime,
         rng: &mut DetRng,
     ) -> Option<SiteId>;
 
     /// Picks up to `k` distinct peers for a parallel shortage fan-out,
-    /// appending each pick to `already_asked` (the caller's per-update
+    /// adding each pick to `already_asked` (the caller's per-update
     /// attempt history — exactly what the serial loop would have done one
-    /// round trip at a time) and collecting them into `out`.
+    /// round trip at a time) and collecting them into `out` in pick order.
     ///
     /// The default implementation iterates [`SelectStrategy::select`], so
-    /// every strategy fans out in its own order (MostKnownAv yields the
-    /// top-k believed holders, RoundRobin the next k in rotation, …).
-    /// Returns fewer than `k` peers when the eligible set runs dry.
+    /// every strategy fans out in its own order (RoundRobin the next k in
+    /// rotation, …); [`MostKnownAv`] overrides it with a one-pass top-k
+    /// that yields the same picks. Returns fewer than `k` peers when the
+    /// eligible set runs dry.
     #[allow(clippy::too_many_arguments)]
     fn select_many(
         &mut self,
@@ -53,7 +55,7 @@ pub trait SelectStrategy: Send + std::fmt::Debug {
         n_sites: usize,
         product: ProductId,
         knowledge: &PeerKnowledge,
-        already_asked: &mut Vec<SiteId>,
+        already_asked: &mut PeerSet,
         now: VirtualTime,
         rng: &mut DetRng,
         k: usize,
@@ -63,7 +65,7 @@ pub trait SelectStrategy: Send + std::fmt::Debug {
         for _ in 0..k {
             match self.select(me, n_sites, product, knowledge, already_asked, now, rng) {
                 Some(peer) => {
-                    already_asked.push(peer);
+                    already_asked.insert(peer);
                     out.push(peer);
                 }
                 None => break,
@@ -155,7 +157,7 @@ impl SelectStrategy for MostKnownAv {
         n_sites: usize,
         product: ProductId,
         knowledge: &PeerKnowledge,
-        already_asked: &[SiteId],
+        already_asked: &PeerSet,
         _now: VirtualTime,
         _rng: &mut DetRng,
     ) -> Option<SiteId> {
@@ -167,7 +169,7 @@ impl SelectStrategy for MostKnownAv {
         let row = knowledge.known_row(product);
         let mut best: Option<(SiteId, Volume)> = None;
         for s in SiteId::all(n_sites) {
-            if s == me || already_asked.contains(&s) {
+            if s == me || already_asked.contains(s) {
                 continue;
             }
             let av = row.get(s.index()).copied().unwrap_or(Volume::ZERO);
@@ -177,6 +179,53 @@ impl SelectStrategy for MostKnownAv {
             }
         }
         best.map(|(s, _)| s)
+    }
+
+    /// One scan keeping the best `k` in (AV desc, id asc) order — the
+    /// picks `k` iterated [`MostKnownAv::select`] calls make, in the same
+    /// order, without rescanning the row once per pick.
+    fn select_many(
+        &mut self,
+        me: SiteId,
+        n_sites: usize,
+        product: ProductId,
+        knowledge: &PeerKnowledge,
+        already_asked: &mut PeerSet,
+        _now: VirtualTime,
+        _rng: &mut DetRng,
+        k: usize,
+        out: &mut Vec<SiteId>,
+    ) {
+        out.clear();
+        if k == 0 {
+            return;
+        }
+        let row = knowledge.known_row(product);
+        let av = |s: SiteId| row.get(s.index()).copied().unwrap_or(Volume::ZERO);
+        // AV of the last kept pick, once `k` are kept.
+        let mut worst = Volume::ZERO;
+        for s in SiteId::all(n_sites) {
+            if s == me || already_asked.contains(s) {
+                continue;
+            }
+            let v = av(s);
+            if out.len() == k {
+                // Ids ascend, so a candidate ranks after every kept peer
+                // of equal AV: it enters only above a strictly poorer one.
+                if v <= worst {
+                    continue;
+                }
+                out.pop();
+            }
+            let pos = out.iter().position(|&p| av(p) < v).unwrap_or(out.len());
+            out.insert(pos, s);
+            if out.len() == k {
+                worst = av(out[k - 1]);
+            }
+        }
+        for &p in out.iter() {
+            already_asked.insert(p);
+        }
     }
 }
 
@@ -194,14 +243,14 @@ impl SelectStrategy for RoundRobin {
         n_sites: usize,
         product: ProductId,
         _knowledge: &PeerKnowledge,
-        already_asked: &[SiteId],
+        already_asked: &PeerSet,
         _now: VirtualTime,
         _rng: &mut DetRng,
     ) -> Option<SiteId> {
         let start = *self.next.entry(product).or_insert(0);
         for k in 0..n_sites as u32 {
             let candidate = SiteId((start + k) % n_sites as u32);
-            if candidate != me && !already_asked.contains(&candidate) {
+            if candidate != me && !already_asked.contains(candidate) {
                 self.next.insert(product, (candidate.0 + 1) % n_sites as u32);
                 return Some(candidate);
             }
@@ -221,12 +270,12 @@ impl SelectStrategy for RandomSelect {
         n_sites: usize,
         _product: ProductId,
         _knowledge: &PeerKnowledge,
-        already_asked: &[SiteId],
+        already_asked: &PeerSet,
         _now: VirtualTime,
         rng: &mut DetRng,
     ) -> Option<SiteId> {
         let eligible: Vec<SiteId> = SiteId::all(n_sites)
-            .filter(|s| *s != me && !already_asked.contains(s))
+            .filter(|s| *s != me && !already_asked.contains(*s))
             .collect();
         if eligible.is_empty() {
             None
@@ -249,12 +298,12 @@ impl SelectStrategy for LeastRecentlyAsked {
         n_sites: usize,
         _product: ProductId,
         _knowledge: &PeerKnowledge,
-        already_asked: &[SiteId],
+        already_asked: &PeerSet,
         now: VirtualTime,
         _rng: &mut DetRng,
     ) -> Option<SiteId> {
         let pick = SiteId::all(n_sites)
-            .filter(|s| *s != me && !already_asked.contains(s))
+            .filter(|s| *s != me && !already_asked.contains(*s))
             .min_by_key(|s| (self.last_asked.get(s).copied(), *s))?;
         self.last_asked.insert(pick, now);
         Some(pick)
@@ -359,21 +408,25 @@ mod tests {
         DetRng::new(1)
     }
 
+    fn peers(ids: &[SiteId]) -> PeerSet {
+        ids.iter().copied().collect()
+    }
+
     #[test]
     fn most_known_av_picks_richest_then_next() {
         let mut s = MostKnownAv;
         let k = knowledge();
         let mut r = rng();
         let first = s
-            .select(SiteId(1), 3, P, &k, &[], VirtualTime::ZERO, &mut r)
+            .select(SiteId(1), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r)
             .unwrap();
         assert_eq!(first, SiteId(0), "ties break to lower id");
         let second = s
-            .select(SiteId(1), 3, P, &k, &[first], VirtualTime::ZERO, &mut r)
+            .select(SiteId(1), 3, P, &k, &peers(&[first]), VirtualTime::ZERO, &mut r)
             .unwrap();
         assert_eq!(second, SiteId(2));
         assert!(s
-            .select(SiteId(1), 3, P, &k, &[SiteId(0), SiteId(2)], VirtualTime::ZERO, &mut r)
+            .select(SiteId(1), 3, P, &k, &peers(&[SiteId(0), SiteId(2)]), VirtualTime::ZERO, &mut r)
             .is_none());
     }
 
@@ -382,9 +435,9 @@ mod tests {
         let mut s = RoundRobin::default();
         let k = knowledge();
         let mut r = rng();
-        let a = s.select(SiteId(0), 3, P, &k, &[], VirtualTime::ZERO, &mut r).unwrap();
-        let b = s.select(SiteId(0), 3, P, &k, &[], VirtualTime::ZERO, &mut r).unwrap();
-        let c = s.select(SiteId(0), 3, P, &k, &[], VirtualTime::ZERO, &mut r).unwrap();
+        let a = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r).unwrap();
+        let b = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r).unwrap();
+        let c = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r).unwrap();
         assert_eq!((a, b, c), (SiteId(1), SiteId(2), SiteId(1)));
     }
 
@@ -394,19 +447,19 @@ mod tests {
         let pick = |seed| {
             let mut s = RandomSelect;
             let mut r = DetRng::new(seed);
-            s.select(SiteId(1), 3, P, &k, &[], VirtualTime::ZERO, &mut r)
+            s.select(SiteId(1), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r)
         };
         assert_eq!(pick(5), pick(5));
         let mut s = RandomSelect;
         let mut r = rng();
         for _ in 0..20 {
             let got = s
-                .select(SiteId(1), 3, P, &k, &[SiteId(0)], VirtualTime::ZERO, &mut r)
+                .select(SiteId(1), 3, P, &k, &peers(&[SiteId(0)]), VirtualTime::ZERO, &mut r)
                 .unwrap();
             assert_eq!(got, SiteId(2));
         }
         assert!(s
-            .select(SiteId(1), 3, P, &k, &[SiteId(0), SiteId(2)], VirtualTime::ZERO, &mut r)
+            .select(SiteId(1), 3, P, &k, &peers(&[SiteId(0), SiteId(2)]), VirtualTime::ZERO, &mut r)
             .is_none());
     }
 
@@ -415,11 +468,11 @@ mod tests {
         let mut s = LeastRecentlyAsked::default();
         let k = knowledge();
         let mut r = rng();
-        let a = s.select(SiteId(0), 3, P, &k, &[], VirtualTime(1), &mut r).unwrap();
+        let a = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime(1), &mut r).unwrap();
         assert_eq!(a, SiteId(1), "never-asked peers first by id");
-        let b = s.select(SiteId(0), 3, P, &k, &[], VirtualTime(2), &mut r).unwrap();
+        let b = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime(2), &mut r).unwrap();
         assert_eq!(b, SiteId(2));
-        let c = s.select(SiteId(0), 3, P, &k, &[], VirtualTime(3), &mut r).unwrap();
+        let c = s.select(SiteId(0), 3, P, &k, &PeerSet::new(), VirtualTime(3), &mut r).unwrap();
         assert_eq!(c, SiteId(1), "oldest ask comes around again");
     }
 
@@ -477,11 +530,11 @@ mod tests {
         let mut s = MostKnownAv;
         let k = knowledge();
         let mut r = rng();
-        let mut asked = Vec::new();
+        let mut asked = PeerSet::new();
         let mut out = Vec::new();
         s.select_many(SiteId(1), 3, P, &k, &mut asked, VirtualTime::ZERO, &mut r, 5, &mut out);
         assert_eq!(out, vec![SiteId(0), SiteId(2)], "runs dry below k");
-        assert_eq!(asked, out, "fan-out charges the attempt history");
+        assert_eq!(asked, peers(&out), "fan-out charges the attempt history");
         // A second burst with the same history finds nobody left.
         s.select_many(SiteId(1), 3, P, &k, &mut asked, VirtualTime::ZERO, &mut r, 2, &mut out);
         assert!(out.is_empty());
@@ -492,11 +545,11 @@ mod tests {
         let mut s = MostKnownAv;
         let k = knowledge();
         let mut r = rng();
-        let mut asked = vec![SiteId(0)];
+        let mut asked = peers(&[SiteId(0)]);
         let mut out = Vec::new();
         s.select_many(SiteId(1), 3, P, &k, &mut asked, VirtualTime::ZERO, &mut r, 2, &mut out);
         assert_eq!(out, vec![SiteId(2)]);
-        assert_eq!(asked, vec![SiteId(0), SiteId(2)]);
+        assert_eq!(asked, peers(&[SiteId(0), SiteId(2)]));
     }
 
     #[test]
@@ -510,7 +563,7 @@ mod tests {
         let mut asked: Vec<SiteId> = Vec::new();
         for _ in 0..4 {
             let ranked = k.ranked_peers(SiteId(1), 4, P, &asked);
-            let got = s.select(SiteId(1), 4, P, &k, &asked, VirtualTime::ZERO, &mut r);
+            let got = s.select(SiteId(1), 4, P, &k, &peers(&asked), VirtualTime::ZERO, &mut r);
             assert_eq!(got, ranked.first().copied());
             match got {
                 Some(p) => asked.push(p),
@@ -581,7 +634,7 @@ mod tests {
         ] {
             let mut s = make_select(kind);
             assert!(s
-                .select(SiteId(1), 3, P, &k, &[], VirtualTime::ZERO, &mut r)
+                .select(SiteId(1), 3, P, &k, &PeerSet::new(), VirtualTime::ZERO, &mut r)
                 .is_some());
         }
         assert_eq!(
@@ -601,5 +654,136 @@ mod tests {
                 .grant_amount(Volume(10), Volume(3)),
             Volume(6)
         );
+    }
+
+    // ---- PeerSet equivalence -------------------------------------------
+
+    /// The pre-bitset `select_many` default: `k` iterated `select` calls,
+    /// each charging its pick to the history. The reference the one-pass
+    /// top-k must reproduce exactly.
+    #[allow(clippy::too_many_arguments)]
+    fn iterated_select_many(
+        s: &mut dyn SelectStrategy,
+        me: SiteId,
+        n_sites: usize,
+        knowledge: &PeerKnowledge,
+        asked: &mut PeerSet,
+        rng: &mut DetRng,
+        k: usize,
+        out: &mut Vec<SiteId>,
+    ) {
+        out.clear();
+        for _ in 0..k {
+            match s.select(me, n_sites, P, knowledge, asked, VirtualTime::ZERO, rng) {
+                Some(peer) => {
+                    asked.insert(peer);
+                    out.push(peer);
+                }
+                None => break,
+            }
+        }
+    }
+
+    /// The slice-based `RoundRobin::select` the bitset replaced.
+    fn slice_round_robin(
+        next: &mut HashMap<ProductId, u32>,
+        me: SiteId,
+        n_sites: usize,
+        asked: &[SiteId],
+    ) -> Option<SiteId> {
+        let start = *next.entry(P).or_insert(0);
+        for k in 0..n_sites as u32 {
+            let candidate = SiteId((start + k) % n_sites as u32);
+            if candidate != me && !asked.contains(&candidate) {
+                next.insert(P, (candidate.0 + 1) % n_sites as u32);
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// The slice-based `RandomSelect::select` the bitset replaced.
+    fn slice_random(me: SiteId, n_sites: usize, asked: &[SiteId], rng: &mut DetRng) -> Option<SiteId> {
+        let eligible: Vec<SiteId> =
+            SiteId::all(n_sites).filter(|s| *s != me && !asked.contains(s)).collect();
+        if eligible.is_empty() {
+            None
+        } else {
+            Some(*rng.choose(&eligible))
+        }
+    }
+
+    /// A knowledge row over `n` sites drawn from a tiny value set, so
+    /// ties are the norm (as after a run of zero grants).
+    fn tied_knowledge(n: usize, seed: u64) -> PeerKnowledge {
+        let mut rng = DetRng::new(seed);
+        let split: Vec<Volume> =
+            (0..n).map(|_| Volume([0, 0, 3, 7, 7][(rng.next_u64() % 5) as usize])).collect();
+        let mut k = PeerKnowledge::new();
+        k.seed(P, &split);
+        k
+    }
+
+    /// A random subset of `0..n` (about a third of the sites), in
+    /// ascending order.
+    fn random_asked(n: usize, seed: u64) -> Vec<SiteId> {
+        let mut rng = DetRng::new(seed ^ 0xA5A5);
+        SiteId::all(n).filter(|_| rng.next_u64().is_multiple_of(3)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+        #[test]
+        fn most_known_av_top_k_equals_iterated_select(
+            n in 2usize..=130,
+            me_pick in 0u32..1000,
+            k in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let me = SiteId(me_pick % n as u32);
+            let know = tied_knowledge(n, seed);
+            let prior = peers(&random_asked(n, seed));
+            let (mut a_asked, mut b_asked) = (prior.clone(), prior);
+            let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
+            let mut r = rng();
+            // Several bursts in a row, as a negotiation does.
+            for _ in 0..3 {
+                MostKnownAv.select_many(me, n, P, &know, &mut a_asked, VirtualTime::ZERO, &mut r, k, &mut a_out);
+                iterated_select_many(&mut MostKnownAv, me, n, &know, &mut b_asked, &mut r, k, &mut b_out);
+                proptest::prop_assert_eq!(&a_out, &b_out);
+                proptest::prop_assert_eq!(&a_asked, &b_asked);
+                let members = SiteId::all(n).filter(|&s| a_asked.contains(s)).count();
+                proptest::prop_assert_eq!(a_asked.len(), members);
+            }
+        }
+
+        #[test]
+        fn round_robin_and_random_pick_the_same_peers_from_a_peer_set(
+            n in 2usize..=130,
+            me_pick in 0u32..1000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let me = SiteId(me_pick % n as u32);
+            let know = tied_knowledge(n, seed);
+            let mut asked_vec = random_asked(n, seed);
+            let mut asked_set = peers(&asked_vec);
+            let mut rr = RoundRobin::default();
+            let mut rr_next = HashMap::new();
+            let (mut r_set, mut r_vec) = (DetRng::new(seed), DetRng::new(seed));
+            for round in 0..6 {
+                let new = rr.select(me, n, P, &know, &asked_set, VirtualTime::ZERO, &mut r_set);
+                let old = slice_round_robin(&mut rr_next, me, n, &asked_vec);
+                proptest::prop_assert_eq!(new, old);
+                let new = RandomSelect.select(me, n, P, &know, &asked_set, VirtualTime::ZERO, &mut r_set);
+                let old = slice_random(me, n, &asked_vec, &mut r_vec);
+                proptest::prop_assert_eq!(new, old);
+                // Grow the history like a negotiation: every other round
+                // charges the random pick.
+                if let (Some(p), true) = (new, round % 2 == 0) {
+                    asked_vec.push(p);
+                    asked_set.insert(p);
+                }
+            }
+        }
     }
 }

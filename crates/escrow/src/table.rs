@@ -1,8 +1,7 @@
 //! The per-site Allowable Volume table ("AV management table" of Fig. 2).
 
-use avdb_types::{AvdbError, ProductId, Result, TxnId, Volume};
+use avdb_types::{AvdbError, FastMap, ProductId, Result, TxnId, Volume};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// AV state for one product at one site.
 #[derive(Clone, Debug, Default)]
@@ -15,7 +14,7 @@ pub struct AvEntry {
     pub available: Volume,
     /// Volume reserved by in-flight transactions, keyed by transaction.
     /// Not a lock: each transaction reserves only what it needs.
-    holds: HashMap<TxnId, Volume>,
+    holds: FastMap<TxnId, Volume>,
 }
 
 impl AvEntry {
@@ -259,7 +258,7 @@ impl AvTable {
                 .rows
                 .iter()
                 .map(|row| match row {
-                    Some(total) => AvEntry { defined: true, available: *total, holds: HashMap::new() },
+                    Some(total) => AvEntry { defined: true, available: *total, holds: FastMap::default() },
                     None => AvEntry::default(),
                 })
                 .collect(),

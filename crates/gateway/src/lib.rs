@@ -177,6 +177,18 @@ struct Shared {
     outcomes: Mutex<Vec<(VirtualTime, SiteId, UpdateOutcome)>>,
     outcome_count: AtomicU64,
     stats: Stats,
+    /// Reader and writer threads of every accepted connection, so
+    /// [`Gateway::finish`] can join them: each holds an `Arc<Shared>`,
+    /// and through it the mesh. Finished threads are reaped at the next
+    /// accept.
+    conn_threads: Mutex<ConnThreads>,
+}
+
+/// Per-connection thread handles, split by role for the shutdown order.
+#[derive(Default)]
+struct ConnThreads {
+    readers: Vec<JoinHandle<()>>,
+    writers: Vec<JoinHandle<()>>,
 }
 
 impl Shared {
@@ -231,6 +243,7 @@ impl Gateway {
             outcomes: Mutex::new(Vec::new()),
             outcome_count: AtomicU64::new(0),
             stats: Stats::default(),
+            conn_threads: Mutex::new(ConnThreads::default()),
         });
 
         let mut addrs = Vec::with_capacity(n_sites);
@@ -277,6 +290,10 @@ impl Gateway {
     /// submission log (per-site injection order), every outcome, and the
     /// counters.
     ///
+    /// Every gateway thread is joined before this returns, so the
+    /// gateway's handle on the mesh is gone: `Arc::try_unwrap` on the
+    /// caller's mesh succeeds at once.
+    ///
     /// Call only after waiting for in-flight outcomes
     /// ([`Gateway::outcome_count`]); anything still unresolved in the
     /// mesh afterwards surfaces via `TcpMesh::shutdown` and can be
@@ -295,6 +312,18 @@ impl Gateway {
         let conns: Vec<Arc<Conn>> = self.shared.conns.lock().values().cloned().collect();
         for conn in conns {
             self.shared.retire(&conn, false);
+        }
+        // Readers see EOF on their retired sockets and exit. A reader
+        // can register a route after its connection's sweep; clear every
+        // route once the readers are gone, so each writer's queue
+        // disconnects and the writers exit too.
+        let ConnThreads { readers, writers } = std::mem::take(&mut *self.shared.conn_threads.lock());
+        for h in readers {
+            let _ = h.join();
+        }
+        self.shared.routes.lock().clear();
+        for h in writers {
+            let _ = h.join();
         }
         let submissions = std::mem::take(&mut self.shared.submissions.lock().log);
         let outcomes = std::mem::take(&mut *self.shared.outcomes.lock());
@@ -341,9 +370,18 @@ fn accept_loop(listener: TcpListener, site: u32, shared: Arc<Shared>) {
         let writer_conn = Arc::clone(&conn);
         let writer_shared = Arc::clone(&shared);
         let writer_stream = stream.try_clone().expect("clone client stream");
-        std::thread::spawn(move || writer_loop(writer_stream, rx, writer_conn, writer_shared));
+        let writer =
+            std::thread::spawn(move || writer_loop(writer_stream, rx, writer_conn, writer_shared));
         let reader_shared = Arc::clone(&shared);
-        std::thread::spawn(move || reader_loop(stream, conn, tx, reader_shared));
+        let reader = std::thread::spawn(move || reader_loop(stream, conn, tx, reader_shared));
+        let mut threads = shared.conn_threads.lock();
+        // Dropping a finished handle detaches an already-exited thread;
+        // this keeps a long-lived gateway's handle list bounded by its
+        // live connections.
+        threads.readers.retain(|h| !h.is_finished());
+        threads.writers.retain(|h| !h.is_finished());
+        threads.readers.push(reader);
+        threads.writers.push(writer);
     }
 }
 

@@ -353,7 +353,7 @@ mod tests {
             for _ in 0..7 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 // Mostly near-future, occasionally far beyond the window.
-                let at = base + if x % 13 == 0 { SPAN + (x >> 32) % 5000 } else { x % 40 };
+                let at = base + if x.is_multiple_of(13) { SPAN + (x >> 32) % 5000 } else { x % 40 };
                 q.push(VirtualTime(at), timer(0, token));
                 reference.push((at, token));
                 token += 1;

@@ -1,8 +1,9 @@
 //! Flight recorder: a fixed-size ring buffer of recent protocol events.
 //!
 //! Every site keeps one of these always on. Recording is cheap (a bounded
-//! `VecDeque` push), so the ring can run in the hot path of a bench without
-//! skewing results; it only becomes visible when something goes wrong — an
+//! `VecDeque` push; integer-only events defer their formatting to read
+//! time), so the ring can run in the hot path of a bench without skewing
+//! results; it only becomes visible when something goes wrong — an
 //! oracle invariant fires, a WAL recovery runs, or a 2PC round aborts — at
 //! which point the last `capacity` events from every site are assembled
 //! into a [`FlightDump`], written to disk as JSON, and pretty-printed by
@@ -35,53 +36,120 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
+/// Renders a deferred event's detail line from its recorded fields.
+pub type RenderDetail = fn(&mut String, &[u64; 4]);
+
+/// How a retained event's detail is held until someone reads it.
+#[derive(Clone, Debug)]
+enum Detail {
+    /// Formatted at record time (call sites with free text).
+    Text(String),
+    /// Formatted at read time: integer-only call sites store their
+    /// fields and a renderer, so recording never touches a formatter.
+    Fields(RenderDetail, [u64; 4]),
+}
+
+/// One ring slot: a [`FlightEvent`] whose detail may not be rendered yet.
+#[derive(Clone, Debug)]
+struct Slot {
+    seq: u64,
+    at: u64,
+    clock: u64,
+    kind: &'static str,
+    detail: Detail,
+}
+
+impl Slot {
+    fn render(&self) -> FlightEvent {
+        let detail = match &self.detail {
+            Detail::Text(text) => text.clone(),
+            Detail::Fields(render, fields) => {
+                let mut text = String::new();
+                render(&mut text, fields);
+                text
+            }
+        };
+        FlightEvent { seq: self.seq, at: self.at, clock: self.clock, kind: self.kind.to_string(), detail }
+    }
+}
+
 /// A bounded ring of [`FlightEvent`]s. Oldest events are evicted first.
+///
+/// Events are stored unrendered where the call site allows it
+/// ([`FlightRecorder::record_fields`]) and become [`FlightEvent`]s only
+/// when read, so the per-message cost of the always-on ring is a slot
+/// write, not a `format!`.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     cap: usize,
     next_seq: u64,
-    events: VecDeque<FlightEvent>,
+    events: VecDeque<Slot>,
+    /// Text buffers of evicted events, reused by the next text record.
+    spare: Vec<String>,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        FlightRecorder { cap, next_seq: 0, events: VecDeque::with_capacity(cap) }
+        FlightRecorder { cap, next_seq: 0, events: VecDeque::with_capacity(cap), spare: Vec::new() }
+    }
+
+    /// Evicts the oldest slot if the ring is full; an evicted text
+    /// buffer goes to the spare pool.
+    fn make_room(&mut self) {
+        if self.events.len() == self.cap {
+            if let Some(Slot { detail: Detail::Text(buf), .. }) = self.events.pop_front() {
+                self.spare.push(buf);
+            }
+        }
+    }
+
+    /// Appends a slot, evicting the oldest if the ring is full.
+    fn push(&mut self, at: u64, clock: u64, kind: &'static str, detail: Detail) {
+        self.make_room();
+        self.events.push_back(Slot { seq: self.next_seq, at, clock, kind, detail });
+        self.next_seq += 1;
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    pub fn record(&mut self, at: u64, clock: u64, kind: &str, detail: String) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(FlightEvent {
-            seq: self.next_seq,
-            at,
-            clock,
-            kind: kind.to_string(),
-            detail,
-        });
-        self.next_seq += 1;
+    pub fn record(&mut self, at: u64, clock: u64, kind: &'static str, detail: String) {
+        self.push(at, clock, kind, Detail::Text(detail));
     }
 
-    /// [`FlightRecorder::record`] formatting `args` into the evicted
-    /// event's buffers, so a saturated ring records with zero fresh
-    /// allocations — for call sites that fire per frame or per delta.
-    pub fn record_args(&mut self, at: u64, clock: u64, kind: &str, args: std::fmt::Arguments<'_>) {
+    /// [`FlightRecorder::record`] formatting `args` into an evicted
+    /// event's buffer, so a saturated ring records text with no fresh
+    /// allocation.
+    pub fn record_args(
+        &mut self,
+        at: u64,
+        clock: u64,
+        kind: &'static str,
+        args: std::fmt::Arguments<'_>,
+    ) {
         use std::fmt::Write as _;
-        let (mut kind_buf, mut detail) = if self.events.len() == self.cap {
-            let old = self.events.pop_front().expect("cap >= 1");
-            (old.kind, old.detail)
-        } else {
-            (String::new(), String::new())
-        };
-        kind_buf.clear();
-        kind_buf.push_str(kind);
+        // Evict first, so a saturated ring hands its oldest buffer over.
+        self.make_room();
+        let mut detail = self.spare.pop().unwrap_or_default();
         detail.clear();
         let _ = detail.write_fmt(args);
-        self.events.push_back(FlightEvent { seq: self.next_seq, at, clock, kind: kind_buf, detail });
-        self.next_seq += 1;
+        self.push(at, clock, kind, Detail::Text(detail));
+    }
+
+    /// Appends an event whose detail `render` formats from `fields` only
+    /// when the event is read ([`FlightRecorder::events`],
+    /// [`FlightRecorder::snapshot`], a [`FlightDump`]). The rendered text
+    /// is whatever the renderer writes, so a renderer that mirrors a
+    /// former `format!` call site keeps dumps byte-identical.
+    pub fn record_fields(
+        &mut self,
+        at: u64,
+        clock: u64,
+        kind: &'static str,
+        render: RenderDetail,
+        fields: [u64; 4],
+    ) {
+        self.push(at, clock, kind, Detail::Fields(render, fields));
     }
 
     /// Number of events currently retained.
@@ -104,14 +172,19 @@ impl FlightRecorder {
         self.next_seq
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
+    /// Virtual time of the newest retained event.
+    pub fn last_at(&self) -> Option<u64> {
+        self.events.back().map(|e| e.at)
     }
 
-    /// Clones the retained events out, oldest first.
+    /// The retained events, oldest first, each rendered as it is yielded.
+    pub fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
+        self.events.iter().map(Slot::render)
+    }
+
+    /// Renders the retained events out, oldest first.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.events.iter().cloned().collect()
+        self.events().collect()
     }
 }
 
@@ -230,7 +303,7 @@ mod tests {
         assert_eq!(r.recorded(), 10);
         let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        let details: Vec<&str> = r.events().map(|e| e.detail.as_str()).collect();
+        let details: Vec<String> = r.events().map(|e| e.detail).collect();
         assert_eq!(details, vec!["event 7", "event 8", "event 9"]);
     }
 
@@ -306,6 +379,61 @@ mod tests {
         let early = text.find("b.early").unwrap();
         let late = text.find("a.late").unwrap();
         assert!(early < late, "events are merged in time order:\n{text}");
+    }
+
+    fn render_pair(out: &mut String, f: &[u64; 4]) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "event {} of {}", f[0], f[1]);
+    }
+
+    #[test]
+    fn deferred_events_match_eager_ones_mid_wrap() {
+        // The same event stream recorded eagerly (text) and deferred
+        // (fields) must read back identically — seqs, eviction order,
+        // recorded() — at every point of several wraps, including with
+        // text and deferred events interleaved in one ring.
+        let mut eager = FlightRecorder::new(4);
+        let mut deferred = FlightRecorder::new(4);
+        let mut mixed = FlightRecorder::new(4);
+        for i in 0..11u64 {
+            let fields = [i, u64::MAX - i, 0, 0];
+            eager.record_args(i * 2, i, "proto.step", format_args!("event {} of {}", i, u64::MAX - i));
+            deferred.record_fields(i * 2, i, "proto.step", render_pair, fields);
+            if i % 3 == 0 {
+                mixed.record(i * 2, i, "proto.step", format!("event {} of {}", i, u64::MAX - i));
+            } else {
+                mixed.record_fields(i * 2, i, "proto.step", render_pair, fields);
+            }
+            assert_eq!(deferred.recorded(), eager.recorded());
+            assert_eq!(deferred.len(), eager.len());
+            assert_eq!(deferred.last_at(), eager.last_at());
+            assert_eq!(deferred.snapshot(), eager.snapshot(), "after {} records", i + 1);
+            assert_eq!(mixed.snapshot(), eager.snapshot(), "after {} records", i + 1);
+        }
+        let seqs: Vec<u64> = deferred.events().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![7, 8, 9, 10]);
+        let mut a = FlightDump::new("wrap", 30);
+        a.push_site(0, &eager);
+        let mut b = FlightDump::new("wrap", 30);
+        b.push_site(0, &deferred);
+        assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn text_buffers_are_reused_across_deferred_evictions() {
+        // A ring cycling between text and deferred records never holds
+        // more text buffers than it has slots.
+        let mut r = FlightRecorder::new(3);
+        for i in 0..50u64 {
+            if i % 2 == 0 {
+                r.record_args(i, i, "t", format_args!("text {i}"));
+            } else {
+                r.record_fields(i, i, "f", render_pair, [i, 0, 0, 0]);
+            }
+            let texts = r.events.iter().filter(|s| matches!(s.detail, Detail::Text(_))).count();
+            assert!(texts + r.spare.len() <= r.capacity(), "buffers leak at record {i}");
+        }
+        assert_eq!(r.snapshot().last().unwrap().detail, "event 49 of 0");
     }
 
     #[test]

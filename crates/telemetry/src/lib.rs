@@ -48,7 +48,9 @@ pub use export::{
     for_each_line, ExportLine, MessageLine, MetaLine, OutcomeLine, RegistryLine, RunExport,
     SeriesLine, SpanLine,
 };
-pub use flight::{FlightDump, FlightEvent, FlightRecorder, SiteFlight, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{
+    FlightDump, FlightEvent, FlightRecorder, RenderDetail, SiteFlight, DEFAULT_FLIGHT_CAPACITY,
+};
 pub use message_log::{render_sequence, MessageEvent, MessageLog};
 pub use prometheus::{
     metric_families, metric_name, render_prometheus, render_series_prometheus,

@@ -34,7 +34,7 @@
 
 use crate::context::SEQ_BITS;
 use crate::sampling::TraceSampler;
-use avdb_types::{SiteId, VirtualTime};
+use avdb_types::{FastMap, FastSet, SiteId, VirtualTime};
 use serde::Serialize;
 use std::collections::VecDeque;
 
@@ -93,21 +93,21 @@ pub struct SpanCollector {
     /// Traces promoted on this site: retained eagerly from then on.
     /// Probed on every record of an unsampled trace (via
     /// [`SpanCollector::trace_sampled`]), so membership must be O(1).
-    promoted: std::collections::HashSet<u64>,
+    promoted: FastSet<u64>,
     /// Recycled detail buffers from evicted ring records.
     pool: Vec<String>,
     /// Index of *open* retained spans (`span id → index in `spans``), so
     /// the per-event `end`/`note` calls on the hot path are O(1) instead
     /// of a reverse scan over every retained record. Entries are removed
     /// at close; records never move (the retained vec only grows).
-    open_retained: std::collections::HashMap<u64, usize>,
+    open_retained: FastMap<u64, usize>,
     /// How many ring records each unsampled trace currently has parked,
     /// so [`SpanCollector::promote`] knows without scanning whether (and
     /// how far) to dig. Entries leave on eviction and on promotion.
-    parked_per_trace: std::collections::HashMap<u64, u32>,
+    parked_per_trace: FastMap<u64, u32>,
     /// Span ids currently in the ring, so `end`/`note` misses (spans
     /// dropped at mint) cost a hash probe instead of a ring scan.
-    parked_ids: std::collections::HashSet<u64>,
+    parked_ids: FastSet<u64>,
     /// Reused scratch for promotion's ring surgery, so a shortage-heavy
     /// sampled run does not allocate a ring-sized buffer per promotion.
     promote_scratch: VecDeque<SpanRecord>,
@@ -127,11 +127,11 @@ impl SpanCollector {
             rescue: None,
             ring: VecDeque::new(),
             ring_cap: DEFAULT_SPAN_RING_CAPACITY,
-            promoted: std::collections::HashSet::new(),
+            promoted: FastSet::default(),
             pool: Vec::new(),
-            open_retained: std::collections::HashMap::new(),
-            parked_per_trace: std::collections::HashMap::new(),
-            parked_ids: std::collections::HashSet::new(),
+            open_retained: FastMap::default(),
+            parked_per_trace: FastMap::default(),
+            parked_ids: FastSet::default(),
             promote_scratch: VecDeque::new(),
             evicted: 0,
         }
@@ -261,43 +261,36 @@ impl SpanCollector {
         clock: u64,
         detail: String,
     ) -> u64 {
-        self.push_record(trace, parent, name, at, None, clock, detail)
-    }
-
-    /// Records a span with its end already decided. Instant spans go
-    /// through here so a parked (unsampled) instant never needs a
-    /// retained-set lookup via [`SpanCollector::end`] — at scale that
-    /// lookup is a per-event linear scan.
-    fn push_record(
-        &mut self,
-        trace: u64,
-        parent: u64,
-        name: &'static str,
-        at: VirtualTime,
-        end: Option<VirtualTime>,
-        clock: u64,
-        detail: String,
-    ) -> u64 {
-        let span = self.next_id();
-        let rec = SpanRecord {
+        let site = self.site;
+        self.push_record(SpanRecord {
             trace,
-            span,
+            span: 0,
             parent,
-            site: self.site,
+            site,
             name,
             detail,
             start: at,
-            end,
+            end: None,
             clock,
-        };
+        })
+    }
+
+    /// Mints `rec`'s span id and files it (its `span` field is
+    /// overwritten). Instant spans arrive with their end already decided,
+    /// so a parked (unsampled) instant never needs a retained-set lookup
+    /// via [`SpanCollector::end`] — at scale that lookup is a per-event
+    /// linear scan.
+    fn push_record(&mut self, mut rec: SpanRecord) -> u64 {
+        let span = self.next_id();
+        rec.span = span;
         // Roots are always retained: they carry commit latency and anchor
         // the oracle's root-per-committed-txn invariant at any rate.
-        if parent == 0 || self.trace_sampled(trace) {
-            if end.is_none() {
+        if rec.parent == 0 || self.trace_sampled(rec.trace) {
+            if rec.end.is_none() {
                 self.open_retained.insert(span, self.spans.len());
             }
             self.spans.push(rec);
-        } else if self.rescued(trace) {
+        } else if self.rescued(rec.trace) {
             self.park(rec);
         } else {
             // Not a promotion candidate: parking would only displace
@@ -321,7 +314,7 @@ impl SpanCollector {
     ) -> u64 {
         use std::fmt::Write as _;
         if self.discards(trace, parent) {
-            return self.push_record(trace, parent, name, at, None, clock, String::new());
+            return self.start_with(trace, parent, name, at, clock, String::new());
         }
         let mut detail = self.pooled_detail();
         let _ = detail.write_fmt(args);
@@ -350,7 +343,18 @@ impl SpanCollector {
         clock: u64,
         detail: String,
     ) -> u64 {
-        self.push_record(trace, parent, name, at, Some(at), clock, detail)
+        let site = self.site;
+        self.push_record(SpanRecord {
+            trace,
+            span: 0,
+            parent,
+            site,
+            name,
+            detail,
+            start: at,
+            end: Some(at),
+            clock,
+        })
     }
 
     /// [`SpanCollector::instant_with`] writing `args` into a pooled buffer.
@@ -365,7 +369,7 @@ impl SpanCollector {
     ) -> u64 {
         use std::fmt::Write as _;
         if self.discards(trace, parent) {
-            return self.push_record(trace, parent, name, at, Some(at), clock, String::new());
+            return self.instant_with(trace, parent, name, at, clock, String::new());
         }
         let mut detail = self.pooled_detail();
         let _ = detail.write_fmt(args);

@@ -26,6 +26,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod product;
 pub mod request;
@@ -37,6 +38,7 @@ pub use config::{
     SystemConfigBuilder,
 };
 pub use error::{AvdbError, Result};
+pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use ids::{SiteId, SiteKind, TxnId};
 pub use product::{CatalogEntry, ProductClass, ProductId};
 pub use request::{AbortReason, UpdateKind, UpdateOutcome, UpdateRequest};

@@ -385,7 +385,7 @@ fn series_file(path: &str, scope_filter: Option<&str>, last: usize) -> ExitCode 
     let mut scopes: std::collections::BTreeMap<String, ScopeTail> = std::collections::BTreeMap::new();
     let folded = for_each_line(std::io::BufReader::new(file), |line| {
         if let ExportLine::Series(l) = line {
-            if scope_filter.map_or(true, |s| s == l.scope) {
+            if scope_filter.is_none_or(|s| s == l.scope) {
                 let entry = scopes.entry(l.scope).or_default();
                 entry.window_ticks = l.window_ticks;
                 entry.total_windows += 1;

@@ -322,15 +322,9 @@ fn cmd_serve(opts: &ServeOpts) -> Result<()> {
         "gateway: {} accepted, {} refused, {} shed, {} wire updates",
         gw_stats.accepted, gw_stats.refused, gw_stats.shed, gw_stats.updates
     );
-    let mut arc = mesh;
-    let mesh = loop {
-        match Arc::try_unwrap(arc) {
-            Ok(mesh) => break mesh,
-            Err(still_shared) => {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                arc = still_shared;
-            }
-        }
+    // `finish` joined every gateway thread: the mesh handle is ours.
+    let Ok(mesh) = Arc::try_unwrap(mesh) else {
+        panic!("mesh still shared after gateway shutdown");
     };
     let (actors, counters, _) = mesh.shutdown();
     if let Some(dir) = &opts.flight_dir {

@@ -67,19 +67,9 @@ impl Cluster {
             std::thread::sleep(Duration::from_millis(50));
         }
         let (submissions, mut outcomes, _stats) = self.gateway.finish();
-        // Retired connection threads release their mesh handle
-        // asynchronously; wait for the last clone to drop.
-        let mut arc = self.mesh;
-        let mesh = loop {
-            match Arc::try_unwrap(arc) {
-                Ok(mesh) => break mesh,
-                Err(still_shared) => {
-                    assert!(Instant::now() < deadline, "{context}: mesh never released");
-                    std::thread::sleep(Duration::from_millis(2));
-                    arc = still_shared;
-                }
-            }
-        };
+        // `finish` joins every connection thread, so the mesh is ours.
+        let mesh = Arc::try_unwrap(self.mesh)
+            .unwrap_or_else(|_| panic!("{context}: mesh still shared after finish"));
         let (actors, counters, leftovers) = mesh.shutdown();
         outcomes.extend(leftovers);
         avdb::oracle::check(&Observation::from_accelerators(
@@ -450,4 +440,30 @@ fn loadgen_smoke_is_oracle_clean() {
     assert!(dir.join("BENCH_smoke-test.json").is_file());
     assert!(dir.join("BENCH_smoke-test.txt").is_file());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- shutdown ---------------------------------------------------------------
+
+#[test]
+fn finish_releases_the_mesh_at_once() {
+    // `finish` must join every connection's reader and writer, so the
+    // caller holds the only mesh handle the moment it returns — no
+    // retry loop. Twenty rounds give a thread that outlives `finish`
+    // many chances to show.
+    for round in 0..20u64 {
+        let cluster = boot(3, 900 + round, GatewayConfig::default());
+        let mut stream = TcpStream::connect(cluster.addr(1)).expect("connect site 1");
+        // A ping round trip proves the connection was accepted and its
+        // reader and writer threads are running.
+        let mut buf = BytesMut::new();
+        encode_request(1, &Request::Ping, &mut buf);
+        stream.write_all(&buf).expect("write ping");
+        let got = raw_responses(&mut stream, 1, Duration::from_secs(5));
+        assert_eq!(got, vec![(1, Response::Pong)], "round {round}: ping unanswered");
+        let _ = cluster.gateway.finish();
+        let mesh = Arc::try_unwrap(cluster.mesh)
+            .unwrap_or_else(|_| panic!("round {round}: mesh still shared after finish"));
+        let _ = mesh.shutdown();
+        drop(stream);
+    }
 }

@@ -180,7 +180,7 @@ fn threads_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<Stri
     }
     // Let the window timers fire past the last activity so the final
     // deltas are rolled into the ring before shutdown.
-    std::thread::sleep(Duration::from_millis(window_ms as u64 * 8));
+    std::thread::sleep(Duration::from_millis(window_ms * 8));
     let (actors, _, _) = runner.shutdown();
 
     actors
