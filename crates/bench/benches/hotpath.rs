@@ -1,14 +1,15 @@
 //! Microbenchmarks of the shortage-path fast lane's hot helpers: peer
 //! ranking (allocating vs. scratch-buffer reuse), burst selection over
-//! the asked set, flight-ring recording (eager vs. deferred details) and
-//! replication-delta coalescing. All sit inside per-message handlers, so
-//! their constant factors show up directly in simulated-run wall time.
+//! the asked set, flight-ring recording (eager vs. deferred details),
+//! knowledge digests and the event queue. All sit inside per-message
+//! handlers, so their constant factors show up directly in simulated-run
+//! wall time.
 
-use avdb_core::{coalesce_deltas, KnowledgeExchange, PropagateDelta};
+use avdb_core::KnowledgeExchange;
 use avdb_escrow::{MostKnownAv, PeerKnowledge, PeerSet, SelectStrategy};
 use avdb_simnet::{DetRng, Event, EventQueue};
 use avdb_telemetry::FlightRecorder;
-use avdb_types::{ProductId, SiteId, TxnId, VirtualTime, Volume};
+use avdb_types::{ProductId, SiteId, VirtualTime, Volume};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -144,37 +145,6 @@ fn bench_flight_record(c: &mut Criterion) {
     group.finish();
 }
 
-/// A retained-delta log shaped like a propagation backlog: `n` commits
-/// spread over `products` products, mixed increments and decrements.
-fn delta_log(n: usize, products: u32) -> Vec<PropagateDelta> {
-    (0..n)
-        .map(|i| PropagateDelta {
-            txn: TxnId::new(SiteId(0), i as u64),
-            product: ProductId(i as u32 % products),
-            delta: Volume(if i % 3 == 0 { -4 } else { 3 }),
-            commit_span: i as u64,
-            retained: true,
-            committed_at: VirtualTime(i as u64 * 5),
-        })
-        .collect()
-}
-
-fn bench_coalesce(c: &mut Criterion) {
-    let mut group = c.benchmark_group("coalesce_deltas");
-    for &(n, products) in &[(8usize, 4u32), (64, 8), (64, 1)] {
-        let log = delta_log(n, products);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_function(format!("{n}_deltas_{products}_products"), |b| {
-            let mut out = Vec::with_capacity(products as usize);
-            b.iter(|| {
-                coalesce_deltas(&log, &mut out);
-                black_box(&out);
-            })
-        });
-    }
-    group.finish();
-}
-
 /// A knowledge-exchange pair mid-run: the sender has observed one AV
 /// per (peer, product) and already shipped a first digest, so encode is
 /// measuring the watermarked steady state, not the boot backlog.
@@ -264,7 +234,6 @@ criterion_group!(
     bench_ranked_peers,
     bench_select_many,
     bench_flight_record,
-    bench_coalesce,
     bench_knowledge_exchange,
     bench_event_queue
 );

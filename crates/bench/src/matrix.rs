@@ -151,7 +151,9 @@ pub struct ScenarioSpec {
     /// Proactive rebalancing horizon in ticks (0 = off).
     #[serde(default)]
     pub rebalance_horizon_ticks: u64,
-    /// Fold propagation batches into net-per-product frames.
+    /// Inert: replication has one frame format, so neither the config
+    /// nor the label reads this. Kept only until the next benchmark
+    /// change, because the benchmark package still sets it.
     #[serde(default)]
     pub coalesce_propagation: bool,
     /// Named chaos scenario layered over the cell: traffic reshaping
@@ -259,9 +261,6 @@ impl ScenarioSpec {
         if self.rebalance_horizon_ticks > 0 {
             label.push_str(&format!("-rb{}", self.rebalance_horizon_ticks));
         }
-        if self.coalesce_propagation {
-            label.push_str("-coal");
-        }
         if let Some(scenario) = &self.scenario {
             label.push_str(&format!("-sc{scenario}"));
         }
@@ -284,7 +283,6 @@ impl ScenarioSpec {
             .propagation_batch(self.propagation_batch)
             .shortage_fanout(self.shortage_fanout)
             .rebalance_horizon_ticks(self.rebalance_horizon_ticks)
-            .coalesce_propagation(self.coalesce_propagation)
             .series_window_ticks(self.series_window_ticks)
             .seed(self.seed);
         if self.fault == FaultProfile::Loss {
@@ -409,9 +407,8 @@ mod tests {
         assert_eq!(spec.label(), base.label(), "fanout 1 is the serial default");
         spec.shortage_fanout = 4;
         spec.rebalance_horizon_ticks = 512;
-        spec.coalesce_propagation = true;
         let label = spec.label();
-        assert!(label.ends_with("-fk4-rb512-coal"), "unexpected label {label}");
+        assert!(label.ends_with("-fk4-rb512"), "unexpected label {label}");
         spec.config().expect("knobs thread into a valid config");
     }
 
@@ -432,8 +429,7 @@ mod tests {
         let json = serde_json::to_string(&ScenarioSpec::base()).unwrap();
         let stripped = json
             .replace(",\"shortage_fanout\":0", "")
-            .replace(",\"rebalance_horizon_ticks\":0", "")
-            .replace(",\"coalesce_propagation\":false", "");
+            .replace(",\"rebalance_horizon_ticks\":0", "");
         assert_ne!(stripped, json);
         let back: ScenarioSpec = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.label(), ScenarioSpec::base().label());

@@ -62,8 +62,6 @@ pub struct AcceleratorConfig {
     /// Proactive rebalancing horizon in ticks (0 disables; also the
     /// rebalancer's tick period).
     pub rebalance_horizon_ticks: u64,
-    /// Fold retained propagation deltas into net-per-product frames.
-    pub coalesce_propagation: bool,
     /// Width of the windowed time-series plane's windows in sim ticks
     /// (0 disables the series recorder and its watchdog).
     pub series_window_ticks: u64,
@@ -84,7 +82,6 @@ impl AcceleratorConfig {
             proactive_push: cfg.proactive_push,
             shortage_fanout: cfg.shortage_fanout,
             rebalance_horizon_ticks: cfg.rebalance_horizon_ticks,
-            coalesce_propagation: cfg.coalesce_propagation,
             series_window_ticks: cfg.series_window_ticks,
         }
     }
@@ -491,8 +488,6 @@ struct MetricIds {
     imm_rereported: MetricId,
     imm_decision_retransmits: MetricId,
     repl_convergence: MetricId,
-    repl_coalesce_frames: MetricId,
-    repl_coalesce_folded: MetricId,
     rebalance_transfers: MetricId,
     rebalance_volume: MetricId,
     flight_dumps: MetricId,
@@ -537,8 +532,6 @@ impl MetricIds {
             imm_rereported: reg.counter_id("imm.rereported"),
             imm_decision_retransmits: reg.counter_id("imm.decision-retransmits"),
             repl_convergence: reg.histogram_id("repl.convergence.ticks"),
-            repl_coalesce_frames: reg.counter_id("repl.coalesce.frames"),
-            repl_coalesce_folded: reg.counter_id("repl.coalesce.folded"),
             rebalance_transfers: reg.counter_id("rebalance.transfers"),
             rebalance_volume: reg.counter_id("rebalance.volume"),
             flight_dumps: reg.counter_id("flight.dumps"),
@@ -1265,10 +1258,9 @@ impl Accelerator {
         if !self.repl.batch_ready(batch) {
             return;
         }
-        let coalesce = self.cfg.coalesce_propagation;
         let peers = self.take_peers();
         for &peer in &peers {
-            if let Some(frame) = self.repl.take_batch_frame(peer, batch, coalesce) {
+            if let Some(frame) = self.repl.take_batch(peer, batch) {
                 self.send_propagate(ctx, peer, frame);
             }
         }
@@ -1278,10 +1270,9 @@ impl Accelerator {
     /// Explicit flush: retransmit everything a peer has not acknowledged
     /// (end-of-run convergence, post-crash anti-entropy).
     fn flush_propagation(&mut self, ctx: &mut ACtx<'_>) {
-        let coalesce = self.cfg.coalesce_propagation;
         let peers = self.take_peers();
         for &peer in &peers {
-            if let Some(frame) = self.repl.take_unacked_frame(peer, coalesce) {
+            if let Some(frame) = self.repl.take_unacked(peer) {
                 self.send_propagate(ctx, peer, frame);
             }
         }
@@ -1291,7 +1282,8 @@ impl Accelerator {
     /// Sends one propagation frame under a fresh auxiliary trace whose
     /// root records the frame shape.
     fn send_propagate(&mut self, ctx: &mut ACtx<'_>, peer: SiteId, frame: Frame) {
-        let Frame { offset, covers, coalesced, deltas, checkpoint } = frame;
+        let Frame { offset, deltas, checkpoint } = frame;
+        let covers = deltas.len() as u64;
         let trace = self.fresh_aux_trace();
         let clock = self.tick();
         // Replication roots are auxiliary traces with no outcome hanging
@@ -1317,13 +1309,6 @@ impl Accelerator {
             0
         };
         self.stats.propagation_batches_sent += 1;
-        if coalesced {
-            self.registry.inc_id(self.ids.repl_coalesce_frames);
-            self.registry.add_id(
-                self.ids.repl_coalesce_folded,
-                covers.saturating_sub(deltas.len() as u64),
-            );
-        }
         self.flight_fields(
             ctx.now(),
             "repl.send",
@@ -1336,7 +1321,7 @@ impl Accelerator {
             peer,
             trace,
             root,
-            Msg::Propagate { offset, covers, coalesced, deltas, checkpoint, knowledge },
+            Msg::Propagate { offset, covers, deltas, checkpoint, knowledge },
         );
     }
 
@@ -2751,7 +2736,7 @@ impl Actor for Accelerator {
                 self.knowledge.update(from, product, receiver_av, ctx.now());
                 self.knowledge.update_rate(from, product, receiver_rate, ctx.now());
             }
-            Msg::Propagate { offset, covers, coalesced, deltas, checkpoint, knowledge } => {
+            Msg::Propagate { offset, deltas, checkpoint, knowledge, .. } => {
                 self.knowledge.apply_digest(self.me, &knowledge);
                 let mut ck_upto = 0;
                 if let Some(ck) = &checkpoint {
@@ -2777,7 +2762,7 @@ impl Actor for Accelerator {
                             .observe_id(self.ids.repl_convergence, ctx.now().since(d.committed_at));
                     }
                 }
-                let (upto, fresh) = self.repl.apply_frame(from, offset, covers, coalesced, deltas);
+                let (upto, fresh) = self.repl.apply_frame(from, offset, deltas);
                 let upto = upto.max(ck_upto);
                 let batch_span = incoming
                     .map(|c| {
@@ -3048,7 +3033,6 @@ mod tests {
         // Fast-lane knobs default to the paper's serial behaviour.
         assert_eq!(ac.shortage_fanout, 0);
         assert_eq!(ac.rebalance_horizon_ticks, 0);
-        assert!(!ac.coalesce_propagation);
     }
 
     #[test]
@@ -3058,13 +3042,11 @@ mod tests {
             .regular_products(2, Volume(90))
             .shortage_fanout(4)
             .rebalance_horizon_ticks(512)
-            .coalesce_propagation(true)
             .build()
             .unwrap();
         let ac = AcceleratorConfig::from_system(&cfg);
         assert_eq!(ac.shortage_fanout, 4);
         assert_eq!(ac.rebalance_horizon_ticks, 512);
-        assert!(ac.coalesce_propagation);
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub use accelerator::{
 pub use knowledge::KnowledgeExchange;
 pub use persist::AcceleratorSnapshot;
 pub use protocol::{Input, KnowledgeRow, Msg, PropagateDelta, ReplCheckpoint, TracedMsg};
-pub use replication::{coalesce_deltas, Frame, ReplicationState};
+pub use replication::{Frame, ReplicationState};
 pub use replication_drive::ReplicationDrive;
 pub use system::{export_from_accelerators, outcome_line, DistributedSystem};

@@ -130,21 +130,13 @@ pub enum Msg {
     Propagate {
         /// Absolute log offset of the first delta.
         offset: u64,
-        /// Log entries this frame covers, starting at `offset`. Equals
-        /// `deltas.len()` for plain frames; a coalesced frame folds
-        /// `covers` log entries into fewer net deltas and is acked by the
-        /// `offset + covers` watermark.
+        /// Log entries this frame covers, starting at `offset`. Every
+        /// sender sets it to `deltas.len()`; receivers derive the range
+        /// from the payload and ignore it. It stays on the wire because
+        /// the benchmark's message tally reads it.
         #[serde(default)]
         covers: u64,
-        /// `true` when `deltas` are net-per-product folds of the covered
-        /// log range rather than the raw entries. Coalesced frames apply
-        /// all-or-nothing: a receiver whose cursor is inside the covered
-        /// range rejects the frame (it cannot split a fold) and re-acks
-        /// its cursor so the origin realigns.
-        #[serde(default)]
-        coalesced: bool,
-        /// Deltas in origin commit order (for coalesced frames: one net
-        /// delta per product, in first-commit order).
+        /// Deltas in origin commit order.
         deltas: Vec<PropagateDelta>,
         /// Checkpoint prefix, present when the receiver's ack fell below
         /// the origin's truncation base: cumulative per-product nets of
@@ -405,7 +397,7 @@ mod tests {
             Msg::AvGrant { txn: txn(), product: ProductId(0), amount: Volume(1), grantor_av: Volume(0), grantor_rate: 0 },
             Msg::AvPush { product: ProductId(0), amount: Volume(1), pusher_av: Volume(0), pusher_rate: 0 },
             Msg::AvPushAck { product: ProductId(0), receiver_av: Volume(1), receiver_rate: 0 },
-            Msg::Propagate { offset: 0, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] },
+            Msg::Propagate { offset: 0, covers: 0, deltas: vec![], checkpoint: None, knowledge: vec![] },
             Msg::PropagateAck { upto: 0 },
             Msg::ImmPrepare { txn: txn(), product: ProductId(0), delta: Volume(1) },
             Msg::ImmVote { txn: txn(), ready: true },
@@ -431,7 +423,7 @@ mod tests {
             "av-grant"
         );
         assert_eq!(
-            Msg::Propagate { offset: 1, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] }.kind(),
+            Msg::Propagate { offset: 1, covers: 0, deltas: vec![], checkpoint: None, knowledge: vec![] }.kind(),
             "propagate"
         );
         assert_eq!(Msg::PropagateAck { upto: 1 }.kind(), "propagate-ack");
@@ -441,8 +433,7 @@ mod tests {
     fn serde_round_trip() {
         let m = Msg::Propagate {
             offset: 3,
-            covers: 2,
-            coalesced: true,
+            covers: 1,
             deltas: vec![PropagateDelta {
                 txn: txn(),
                 product: ProductId(2),
@@ -475,7 +466,7 @@ mod tests {
         // existed must deserialize with the new fields defaulted.
         let old = r#"{"Propagate":{"offset":4,"deltas":[]}}"#;
         let m: Msg = serde_json::from_str(old).unwrap();
-        assert_eq!(m, Msg::Propagate { offset: 4, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] });
+        assert_eq!(m, Msg::Propagate { offset: 4, covers: 0, deltas: vec![], checkpoint: None, knowledge: vec![] });
         let old = r#"{"AvPushAck":{"product":1,"receiver_av":9}}"#;
         let m: Msg = serde_json::from_str(old).unwrap();
         assert!(matches!(m, Msg::AvPushAck { receiver_rate: 0, .. }));

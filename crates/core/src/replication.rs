@@ -22,39 +22,19 @@ use std::collections::{HashMap, VecDeque};
 /// regardless of run length.
 pub const DEFAULT_CHECKPOINT_THRESHOLD: usize = 256;
 
-/// One outgoing replication frame: a contiguous log range
-/// `offset..offset + covers`, carried either as the raw per-commit
-/// deltas (`coalesced == false`, `covers == deltas.len()`) or folded
-/// into one net delta per product (`coalesced == true`,
-/// `deltas.len() <= covers`). Acked by the `offset + covers` watermark
-/// either way. When the receiver's ack fell below the origin's
-/// truncation base, the frame additionally leads with a [`ReplCheckpoint`]
-/// summarizing the folded-away prefix `[0..offset)`.
+/// One outgoing replication frame: the raw per-commit deltas of the
+/// contiguous log range `offset..offset + deltas.len()`, acked by that
+/// end watermark. When the receiver's ack fell below the origin's
+/// truncation base, the frame additionally leads with a
+/// [`ReplCheckpoint`] summarizing the folded-away prefix `[0..offset)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
-    /// Absolute log offset of the first covered entry.
+    /// Absolute log offset of the first delta.
     pub offset: u64,
-    /// Number of log entries the frame covers.
-    pub covers: u64,
-    /// Whether `deltas` are net-per-product folds.
-    pub coalesced: bool,
-    /// Payload deltas.
+    /// Deltas in origin commit order.
     pub deltas: Vec<PropagateDelta>,
     /// Checkpoint prefix for receivers acked below the truncation base.
     pub checkpoint: Option<ReplCheckpoint>,
-}
-
-impl Frame {
-    fn build(offset: u64, deltas: Vec<PropagateDelta>, coalesce: bool) -> Frame {
-        let covers = deltas.len() as u64;
-        if coalesce && deltas.len() >= 2 {
-            let mut folded = Vec::with_capacity(deltas.len().min(8));
-            coalesce_deltas(&deltas, &mut folded);
-            Frame { offset, covers, coalesced: true, deltas: folded, checkpoint: None }
-        } else {
-            Frame { offset, covers, coalesced: false, deltas, checkpoint: None }
-        }
-    }
 }
 
 /// Adds `d` at `idx`, growing the vec with zeros as needed. Product
@@ -65,25 +45,6 @@ fn bump(v: &mut Vec<i64>, idx: usize, d: i64) {
         v.resize(idx + 1, 0);
     }
     v[idx] += d;
-}
-
-/// Folds a run of committed deltas into one net delta per product,
-/// first-commit order (deterministic), dropping products whose increments
-/// and decrements cancel exactly. Each fold keeps the *first* covered
-/// entry's transaction, commit span and commit time, so telemetry
-/// attributes the net apply to the oldest covered commit (the honest
-/// worst case for convergence-lag observation).
-pub fn coalesce_deltas(deltas: &[PropagateDelta], out: &mut Vec<PropagateDelta>) {
-    out.clear();
-    for d in deltas {
-        // Linear scan: a frame folds to at most one entry per product and
-        // catalogs are small, so this beats hashing on the hot path.
-        match out.iter_mut().find(|f| f.product == d.product) {
-            Some(f) => f.delta = f.delta.saturating_add(d.delta),
-            None => out.push(*d),
-        }
-    }
-    out.retain(|f| !f.delta.is_zero());
 }
 
 /// Sender + receiver replication bookkeeping for one site.
@@ -213,10 +174,10 @@ impl ReplicationState {
             .any(|(_, s)| end.saturating_sub((*s).max(self.base)) >= batch as u64)
     }
 
-    /// Deltas a *normal batch flush* should send to `peer`: everything
+    /// The frame a *normal batch flush* should send to `peer`: everything
     /// committed since the last send, if it reaches `batch` deltas.
-    /// Returns `(offset, deltas)` and advances the sent cursor.
-    pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<(u64, Vec<PropagateDelta>)> {
+    /// Advances the sent cursor.
+    pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<Frame> {
         debug_assert_ne!(peer, self.me);
         let from = self.sent[peer.index()].max(self.base);
         let end = self.end();
@@ -225,37 +186,16 @@ impl ReplicationState {
         }
         let deltas = self.slice(from, end);
         self.sent[peer.index()] = end;
-        Some((from, deltas))
+        Some(Frame { offset: from, deltas, checkpoint: None })
     }
 
-    /// Deltas an *explicit flush / retransmission* should send to `peer`:
-    /// everything above the peer's acknowledgement (duplicates possible;
-    /// receivers dedup). Advances the sent cursor.
-    pub fn take_all_unacked(&mut self, peer: SiteId) -> Option<(u64, Vec<PropagateDelta>)> {
-        debug_assert_ne!(peer, self.me);
-        let from = self.acked[peer.index()].max(self.base);
-        let end = self.end();
-        if from >= end {
-            return None;
-        }
-        let deltas = self.slice(from, end);
-        self.sent[peer.index()] = end;
-        Some((from, deltas))
-    }
-
-    /// [`Self::take_batch`] as a wire-ready [`Frame`], optionally
-    /// coalesced to net-per-product deltas.
-    pub fn take_batch_frame(&mut self, peer: SiteId, batch: usize, coalesce: bool) -> Option<Frame> {
-        let (offset, deltas) = self.take_batch(peer, batch)?;
-        Some(Frame::build(offset, deltas, coalesce))
-    }
-
-    /// [`Self::take_all_unacked`] as a wire-ready [`Frame`], optionally
-    /// coalesced. Retransmission flushes cover the widest ranges, so this
-    /// is where coalescing saves the most bytes. When the peer's ack fell
-    /// below the truncation base (its raw entries were folded away), the
-    /// frame leads with the checkpoint prefix that replaces them.
-    pub fn take_unacked_frame(&mut self, peer: SiteId, coalesce: bool) -> Option<Frame> {
+    /// The frame an *explicit flush / retransmission* should send to
+    /// `peer`: everything above the peer's acknowledgement (duplicates
+    /// possible; receivers dedup). When the peer's ack fell below the
+    /// truncation base (its raw entries were folded away), the frame
+    /// leads with the checkpoint prefix that replaces them. Advances the
+    /// sent cursor.
+    pub fn take_unacked(&mut self, peer: SiteId) -> Option<Frame> {
         debug_assert_ne!(peer, self.me);
         let ack = self.acked[peer.index()];
         let needs_ckpt = ack < self.base;
@@ -266,18 +206,14 @@ impl ReplicationState {
         }
         let deltas = self.slice(from, end);
         self.sent[peer.index()] = end;
-        let mut frame = Frame::build(from, deltas, coalesce);
-        if needs_ckpt {
-            // A peer can only be acked below `base` after a cap fold, and
-            // cap folds require a known prefix.
-            let nets = self.ckpt_nets.as_ref().expect("folded past an unknown prefix");
-            frame.checkpoint = Some(ReplCheckpoint {
-                upto: self.base,
-                nets: nets.clone(),
-                as_of: self.ckpt_as_of,
-            });
-        }
-        Some(frame)
+        // A peer can only be acked below `base` after a cap fold, and cap
+        // folds require a known prefix.
+        let checkpoint = needs_ckpt.then(|| ReplCheckpoint {
+            upto: self.base,
+            nets: self.ckpt_nets.clone().expect("folded past an unknown prefix"),
+            as_of: self.ckpt_as_of,
+        });
+        Some(Frame { offset: from, deltas, checkpoint })
     }
 
     fn slice(&self, from: u64, to: u64) -> Vec<PropagateDelta> {
@@ -306,55 +242,25 @@ impl ReplicationState {
         }
     }
 
-    /// Receiver side: given an incoming batch from `origin` starting at
+    /// Receiver side: given an incoming frame from `origin` starting at
     /// `offset`, returns the sub-slice that has **not** been applied yet
     /// and advances the dedup cursor. The returned offset is the new
     /// applied-up-to value to acknowledge.
     ///
-    /// A batch starting *above* the cursor has a gap below it — some
-    /// earlier batch was lost to a crash or partition. Applying it would
+    /// A frame starting *above* the cursor has a gap below it — some
+    /// earlier frame was lost to a crash or partition. Applying it would
     /// advance the cursor over deltas never seen, silently diverging the
     /// replica, so it is rejected wholesale: nothing applies, and the ack
     /// re-states the current cursor. The origin's next explicit flush
     /// (anti-entropy) retransmits from that acknowledged offset and closes
     /// the gap.
-    pub fn fresh_deltas(
-        &mut self,
-        origin: SiteId,
-        offset: u64,
-        deltas: Vec<PropagateDelta>,
-    ) -> (u64, Vec<PropagateDelta>) {
-        let covers = deltas.len() as u64;
-        self.apply_frame(origin, offset, covers, false, deltas)
-    }
-
-    /// Receiver side for a full [`Frame`], coalesced or plain.
-    ///
-    /// Plain frames behave exactly like [`Self::fresh_deltas`] (`covers`
-    /// is recomputed from the payload, which also tolerates pre-coalescing
-    /// senders whose frames carry a defaulted `covers: 0`). A coalesced
-    /// frame is all-or-nothing: it applies only when it starts exactly at
-    /// the dedup cursor — a fold cannot be split, so both gapped *and*
-    /// partially-duplicate coalesced frames are rejected wholesale, with
-    /// the ack restating the cursor so the origin realigns its next flush.
     pub fn apply_frame(
         &mut self,
         origin: SiteId,
         offset: u64,
-        covers: u64,
-        coalesced: bool,
-        deltas: Vec<PropagateDelta>,
+        mut deltas: Vec<PropagateDelta>,
     ) -> (u64, Vec<PropagateDelta>) {
         let cursor = self.applied_from.entry(origin).or_insert(0);
-        if coalesced {
-            if offset != *cursor {
-                return (*cursor, Vec::new());
-            }
-            *cursor = offset + covers;
-            let upto = *cursor;
-            self.track_applied(origin, &deltas);
-            return (upto, deltas);
-        }
         if offset > *cursor {
             return (*cursor, Vec::new());
         }
@@ -363,7 +269,8 @@ impl ReplicationState {
         let fresh = if skip >= deltas.len() {
             Vec::new()
         } else {
-            deltas[skip..].to_vec()
+            deltas.drain(..skip);
+            deltas
         };
         *cursor = new_upto;
         self.track_applied(origin, &fresh);
@@ -598,11 +505,11 @@ mod proptests {
             let deliver = |sender: &mut ReplicationState,
                                receiver: &mut ReplicationState,
                                applied: &mut Vec<u64>,
-                               payload: Option<(u64, Vec<PropagateDelta>)>,
+                               frame: Option<Frame>,
                                ok: bool| {
-                if let Some((offset, deltas)) = payload {
+                if let Some(f) = frame {
                     if ok {
-                        let (upto, fresh) = receiver.fresh_deltas(SiteId(0), offset, deltas);
+                        let (upto, fresh) = receiver.apply_frame(SiteId(0), f.offset, f.deltas);
                         for f in fresh {
                             applied.push(f.txn.seq());
                         }
@@ -617,12 +524,12 @@ mod proptests {
                         recorded += 1;
                     }
                     Step::Batch(b, ok) => {
-                        let payload = sender.take_batch(SiteId(1), b);
-                        deliver(&mut sender, &mut receiver, &mut applied, payload, ok);
+                        let frame = sender.take_batch(SiteId(1), b);
+                        deliver(&mut sender, &mut receiver, &mut applied, frame, ok);
                     }
                     Step::Flush(ok) => {
-                        let payload = sender.take_all_unacked(SiteId(1));
-                        deliver(&mut sender, &mut receiver, &mut applied, payload, ok);
+                        let frame = sender.take_unacked(SiteId(1));
+                        deliver(&mut sender, &mut receiver, &mut applied, frame, ok);
                     }
                 }
                 // Applied deltas are always the exact prefix, in order.
@@ -630,8 +537,8 @@ mod proptests {
                 prop_assert_eq!(&applied, &expect, "gaps or duplicates crept in");
             }
             // A final reliable flush always converges the receiver.
-            let payload = sender.take_all_unacked(SiteId(1));
-            deliver(&mut sender, &mut receiver, &mut applied, payload, true);
+            let frame = sender.take_unacked(SiteId(1));
+            deliver(&mut sender, &mut receiver, &mut applied, frame, true);
             prop_assert_eq!(applied.len() as u64, recorded);
             prop_assert!(sender.fully_acked());
         }
@@ -645,80 +552,6 @@ mod proptests {
             commit_span: 0,
             retained: true,
             committed_at: avdb_types::VirtualTime::ZERO,
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-        /// Same lossy send/flush interleavings, but the sender coalesces
-        /// every frame. The receiver must never double-apply or skip
-        /// volume: its applied net sum per product always equals the
-        /// sender-side log prefix below its watermark, and a final
-        /// reliable flush converges it to the full recorded net.
-        #[test]
-        fn prop_coalesced_frames_preserve_net_volume(
-            seq in prop::collection::vec(steps(), 1..60),
-            payload in prop::collection::vec((0u32..3, -9i64..10), 60),
-        ) {
-            let mut sender = ReplicationState::new(SiteId(0), 2);
-            let mut receiver = ReplicationState::new(SiteId(1), 2);
-            let mut recorded: Vec<(u32, i64)> = Vec::new();
-            // applied net per product, receiver side
-            let mut applied = [0i64; 3];
-            let mut watermark = 0u64;
-            let deliver = |sender: &mut ReplicationState,
-                               receiver: &mut ReplicationState,
-                               applied: &mut [i64; 3],
-                               watermark: &mut u64,
-                               frame: Option<Frame>,
-                               ok: bool| {
-                if let Some(f) = frame {
-                    if ok {
-                        let (upto, fresh) =
-                            receiver.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
-                        for d in fresh {
-                            applied[d.product.index()] += d.delta.get();
-                        }
-                        *watermark = upto;
-                        sender.on_ack(SiteId(1), upto);
-                    }
-                }
-            };
-            for (i, step) in seq.into_iter().enumerate() {
-                match step {
-                    Step::Record => {
-                        let (p, v) = payload[i % payload.len()];
-                        sender.record(dnet(recorded.len() as u64, p, v));
-                        recorded.push((p, v));
-                    }
-                    Step::Batch(b, ok) => {
-                        let frame = sender.take_batch_frame(SiteId(1), b, true);
-                        deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, ok);
-                    }
-                    Step::Flush(ok) => {
-                        let frame = sender.take_unacked_frame(SiteId(1), true);
-                        deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, ok);
-                    }
-                }
-                // The applied net always equals the recorded prefix below
-                // the watermark — coalescing moves volume in bigger
-                // steps, never creates or destroys it.
-                let mut expect = [0i64; 3];
-                for (p, v) in recorded.iter().take(watermark as usize) {
-                    expect[*p as usize] += v;
-                }
-                prop_assert_eq!(applied, expect, "coalesced apply diverged from log prefix");
-            }
-            // A final reliable flush converges to the full recorded net.
-            let frame = sender.take_unacked_frame(SiteId(1), true);
-            deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, true);
-            prop_assert_eq!(watermark, recorded.len() as u64);
-            prop_assert!(sender.fully_acked());
-            let mut expect = [0i64; 3];
-            for (p, v) in &recorded {
-                expect[*p as usize] += v;
-            }
-            prop_assert_eq!(applied, expect);
         }
     }
 
@@ -758,8 +591,7 @@ mod proptests {
                                 applied[d.product.index()] += d.delta.get();
                             }
                         }
-                        let (u, fresh) =
-                            receiver.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
+                        let (u, fresh) = receiver.apply_frame(SiteId(0), f.offset, f.deltas);
                         upto = upto.max(u);
                         for d in fresh {
                             applied[d.product.index()] += d.delta.get();
@@ -778,11 +610,11 @@ mod proptests {
                         prop_assert!(sender.retained() <= threshold, "cap violated");
                     }
                     Step::Batch(b, ok) => {
-                        let frame = sender.take_batch_frame(SiteId(1), b, true);
+                        let frame = sender.take_batch(SiteId(1), b);
                         deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, ok);
                     }
                     Step::Flush(ok) => {
-                        let frame = sender.take_unacked_frame(SiteId(1), true);
+                        let frame = sender.take_unacked(SiteId(1));
                         deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, ok);
                     }
                 }
@@ -792,7 +624,7 @@ mod proptests {
                 }
                 prop_assert_eq!(applied, expect, "fold apply diverged from log prefix");
             }
-            let frame = sender.take_unacked_frame(SiteId(1), true);
+            let frame = sender.take_unacked(SiteId(1));
             deliver(&mut sender, &mut receiver, &mut applied, &mut watermark, frame, true);
             prop_assert_eq!(watermark, recorded.len() as u64);
             prop_assert!(sender.fully_acked());
@@ -831,13 +663,14 @@ mod tests {
         r.record(d(0));
         assert!(r.take_batch(SiteId(1), 2).is_none());
         r.record(d(1));
-        let (off, deltas) = r.take_batch(SiteId(1), 2).unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(deltas.len(), 2);
+        let f = r.take_batch(SiteId(1), 2).unwrap();
+        assert_eq!(f.offset, 0);
+        assert_eq!(f.deltas.len(), 2);
+        assert!(f.checkpoint.is_none());
         // Cursor advanced: nothing more for peer 1.
         assert!(r.take_batch(SiteId(1), 1).is_none());
         // Peer 2 still gets its copy.
-        assert_eq!(r.take_batch(SiteId(2), 2).unwrap().1.len(), 2);
+        assert_eq!(r.take_batch(SiteId(2), 2).unwrap().deltas.len(), 2);
     }
 
     #[test]
@@ -860,11 +693,11 @@ mod tests {
         r.record(d(1));
         let _ = r.take_batch(SiteId(1), 1).unwrap(); // sent=2, acked=0
         // Explicit flush retransmits everything unacked.
-        let (off, deltas) = r.take_all_unacked(SiteId(1)).unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(deltas.len(), 2);
+        let f = r.take_unacked(SiteId(1)).unwrap();
+        assert_eq!(f.offset, 0);
+        assert_eq!(f.deltas.len(), 2);
         r.on_ack(SiteId(1), 2);
-        assert!(r.take_all_unacked(SiteId(1)).is_none());
+        assert!(r.take_unacked(SiteId(1)).is_none());
     }
 
     #[test]
@@ -896,16 +729,16 @@ mod tests {
     fn receiver_dedups_overlapping_batches() {
         let mut r = state();
         let batch: Vec<_> = (0..3).map(d).collect();
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 0, batch.clone());
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, batch.clone());
         assert_eq!(upto, 3);
         assert_eq!(fresh.len(), 3);
         // Retransmission of the same batch: nothing fresh.
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 0, batch.clone());
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, batch.clone());
         assert_eq!(upto, 3);
         assert!(fresh.is_empty());
         // Overlapping batch [1..5): only [3..5) is fresh.
         let overlap: Vec<_> = (1..5).map(d).collect();
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 1, overlap);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 1, overlap);
         assert_eq!(upto, 5);
         assert_eq!(fresh.len(), 2);
         assert_eq!(r.applied_from(SiteId(1)), 5);
@@ -916,14 +749,14 @@ mod tests {
         let mut r = state();
         // Receiver applied [0..2); batch [5..7) arrives after a crash ate
         // [2..5): must be rejected and the ack must restate the cursor.
-        let (_, first) = r.fresh_deltas(SiteId(1), 0, vec![d(0), d(1)]);
+        let (_, first) = r.apply_frame(SiteId(1), 0, vec![d(0), d(1)]);
         assert_eq!(first.len(), 2);
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 5, vec![d(5), d(6)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 5, vec![d(5), d(6)]);
         assert_eq!(upto, 2, "ack restates the cursor");
         assert!(fresh.is_empty(), "nothing from a gapped batch applies");
         assert_eq!(r.applied_from(SiteId(1)), 2, "cursor did not jump the gap");
         // The retransmission covering the gap then applies in full.
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 2, (2..7).map(d).collect());
+        let (upto, fresh) = r.apply_frame(SiteId(1), 2, (2..7).map(d).collect());
         assert_eq!(upto, 7);
         assert_eq!(fresh.len(), 5);
     }
@@ -931,9 +764,9 @@ mod tests {
     #[test]
     fn per_origin_cursors_are_independent() {
         let mut r = state();
-        let (_, fresh1) = r.fresh_deltas(SiteId(1), 0, vec![d(0)]);
+        let (_, fresh1) = r.apply_frame(SiteId(1), 0, vec![d(0)]);
         assert_eq!(fresh1.len(), 1);
-        let (_, fresh2) = r.fresh_deltas(SiteId(2), 0, vec![d(0)]);
+        let (_, fresh2) = r.apply_frame(SiteId(2), 0, vec![d(0)]);
         assert_eq!(fresh2.len(), 1, "other origin's offset space is separate");
     }
 
@@ -953,107 +786,6 @@ mod tests {
             retained: true,
             committed_at: avdb_types::VirtualTime(seq),
         }
-    }
-
-    #[test]
-    fn coalesce_folds_to_net_per_product_in_first_commit_order() {
-        let mut out = Vec::new();
-        coalesce_deltas(
-            &[dp(0, 1, -3), dp(1, 0, 5), dp(2, 1, -2), dp(3, 0, -5), dp(4, 2, 4)],
-            &mut out,
-        );
-        // Product 1 first (first appearance), folded to -5 keeping the
-        // oldest entry's txn/span/time; product 0 nets to zero and drops.
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].product, ProductId(1));
-        assert_eq!(out[0].delta, Volume(-5));
-        assert_eq!(out[0].txn.seq(), 0);
-        assert_eq!(out[0].committed_at, avdb_types::VirtualTime(0));
-        assert_eq!(out[1].product, ProductId(2));
-        assert_eq!(out[1].delta, Volume(4));
-    }
-
-    #[test]
-    fn coalesce_handles_i64_extremes_without_panicking() {
-        let mut out = Vec::new();
-        coalesce_deltas(&[dp(0, 0, i64::MAX), dp(1, 0, i64::MAX)], &mut out);
-        assert_eq!(out[0].delta, Volume(i64::MAX), "saturates instead of wrapping");
-        coalesce_deltas(&[dp(0, 0, i64::MAX), dp(1, 0, -i64::MAX)], &mut out);
-        assert!(out.is_empty(), "exact cancellation drops the product");
-    }
-
-    #[test]
-    fn coalesced_frame_covers_full_range_with_fewer_deltas() {
-        let mut r = state();
-        for (i, delta) in [-2, -3, 4, -1].iter().enumerate() {
-            r.record(dp(i as u64, 0, *delta));
-        }
-        let f = r.take_batch_frame(SiteId(1), 2, true).unwrap();
-        assert!(f.coalesced);
-        assert_eq!((f.offset, f.covers), (0, 4));
-        assert_eq!(f.deltas.len(), 1, "four same-product deltas fold to one net entry");
-        assert_eq!(f.deltas[0].delta, Volume(-2 - 3 + 4 - 1));
-        // Below-threshold batches still wait.
-        assert!(r.take_batch_frame(SiteId(2), 5, true).is_none());
-    }
-
-    #[test]
-    fn single_delta_frames_stay_plain_even_when_coalescing() {
-        let mut r = state();
-        r.record(dp(0, 0, -2));
-        let f = r.take_batch_frame(SiteId(1), 1, true).unwrap();
-        assert!(!f.coalesced, "nothing to fold");
-        assert_eq!(f.covers, 1);
-    }
-
-    #[test]
-    fn coalesced_apply_is_all_or_nothing() {
-        let mut r = state();
-        // Aligned frame applies and advances by `covers`, not payload len.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)]);
-        assert_eq!(upto, 3);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(r.applied_from(SiteId(1)), 3);
-        // Exact duplicate: rejected, ack restates the cursor.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)]);
-        assert_eq!(upto, 3);
-        assert!(fresh.is_empty());
-        // Partial overlap ([2..6) against cursor 3): a fold cannot be
-        // split, so nothing applies and the cursor holds.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 2, 4, true, vec![dp(2, 0, 9)]);
-        assert_eq!(upto, 3);
-        assert!(fresh.is_empty());
-        assert_eq!(r.applied_from(SiteId(1)), 3);
-        // Gap ([5..7) against cursor 3): rejected like plain frames.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 5, 2, true, vec![dp(5, 0, 1)]);
-        assert_eq!(upto, 3);
-        assert!(fresh.is_empty());
-        // The realigned retransmission then lands.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 3, 4, true, vec![dp(3, 0, 2)]);
-        assert_eq!(upto, 7);
-        assert_eq!(fresh.len(), 1);
-    }
-
-    #[test]
-    fn empty_coalesced_frame_still_advances_watermark() {
-        // Increments and decrements that cancel exactly fold to an empty
-        // payload; the frame must still move the cursor or the range
-        // would retransmit forever.
-        let mut r = state();
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 2, true, Vec::new());
-        assert_eq!(upto, 2);
-        assert!(fresh.is_empty());
-        assert_eq!(r.applied_from(SiteId(1)), 2);
-    }
-
-    #[test]
-    fn plain_frame_with_defaulted_covers_applies_like_fresh_deltas() {
-        // Pre-coalescing senders serialize no `covers` field; serde
-        // defaults it to 0 and the receiver must fall back to payload len.
-        let mut r = state();
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 0, false, vec![d(0), d(1)]);
-        assert_eq!(upto, 2);
-        assert_eq!(fresh.len(), 2);
     }
 
     #[test]
@@ -1081,7 +813,7 @@ mod tests {
         assert_eq!(r.retained_nets(), &[-1, -1]);
         // No peer acked anything, yet memory stayed bounded; the flush to
         // peer 1 leads with the checkpoint covering the folded [0..4).
-        let f = r.take_unacked_frame(SiteId(1), false).unwrap();
+        let f = r.take_unacked(SiteId(1)).unwrap();
         let ck = f.checkpoint.clone().expect("peer acked below base");
         assert_eq!(ck.upto, 4);
         assert_eq!(ck.nets, vec![-2, -2]);
@@ -1094,7 +826,7 @@ mod tests {
         assert_eq!(upto, 4);
         let net: i64 = fresh.iter().map(|d| d.delta.get()).sum();
         assert_eq!(net, -4);
-        let (upto, fresh) = rx.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
+        let (upto, fresh) = rx.apply_frame(SiteId(0), f.offset, f.deltas);
         assert_eq!(upto, 6);
         assert_eq!(fresh.len(), 2);
         r.on_ack(SiteId(1), upto);
@@ -1105,7 +837,7 @@ mod tests {
     fn checkpoint_apply_is_idempotent_at_any_cursor() {
         let mut rx = state();
         // Receiver already applied [0..3) as plain frames.
-        let (_, fresh) = rx.fresh_deltas(SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4), dp(2, 0, -1)]);
+        let (_, fresh) = rx.apply_frame(SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4), dp(2, 0, -1)]);
         assert_eq!(fresh.len(), 3);
         // A checkpoint covering [0..5) arrives (origin folded while this
         // receiver's ack was in flight): only the unseen tail applies.
@@ -1137,7 +869,7 @@ mod tests {
         }
         assert_eq!(r.retained(), 1);
         // Receiver side state too.
-        let (_, _) = r.fresh_deltas(SiteId(2), 0, vec![dp(0, 1, 7)]);
+        let (_, _) = r.apply_frame(SiteId(2), 0, vec![dp(0, 1, 7)]);
         let snap = r.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: ReplicationSnapshot = serde_json::from_str(&json).unwrap();

@@ -89,14 +89,14 @@ impl ReplicationDrive {
     }
 
     /// Next batch frame for `peer`, if its range reached `batch`.
-    pub fn take_batch_frame(&mut self, peer: SiteId, batch: usize, coalesce: bool) -> Option<Frame> {
-        self.state.take_batch_frame(peer, batch, coalesce)
+    pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<Frame> {
+        self.state.take_batch(peer, batch)
     }
 
     /// Retransmission frame for `peer`: everything unacked, led by the
     /// checkpoint prefix when the peer's ack fell below the fold base.
-    pub fn take_unacked_frame(&mut self, peer: SiteId, coalesce: bool) -> Option<Frame> {
-        self.state.take_unacked_frame(peer, coalesce)
+    pub fn take_unacked(&mut self, peer: SiteId) -> Option<Frame> {
+        self.state.take_unacked(peer)
     }
 
     /// Handles a cumulative acknowledgement from `peer`.
@@ -109,11 +109,9 @@ impl ReplicationDrive {
         &mut self,
         origin: SiteId,
         offset: u64,
-        covers: u64,
-        coalesced: bool,
         deltas: Vec<PropagateDelta>,
     ) -> (u64, Vec<PropagateDelta>) {
-        self.state.apply_frame(origin, offset, covers, coalesced, deltas)
+        self.state.apply_frame(origin, offset, deltas)
     }
 
     /// Receiver side of a checkpoint prefix (see

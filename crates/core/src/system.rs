@@ -133,7 +133,7 @@ impl DistributedSystem {
     }
 
     /// The recorded message-sequence trace.
-    pub fn trace(&self) -> &avdb_simnet::Trace {
+    pub fn trace(&self) -> &avdb_telemetry::MessageLog {
         self.sim.trace()
     }
 

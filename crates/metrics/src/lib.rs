@@ -9,14 +9,13 @@
 //! updates, system-wide (Fig. 6) and per site (Table 1). This crate
 //! provides:
 //!
-//! * [`stats`] — streaming summary statistics (Welford) and a simple
-//!   histogram for latency-style distributions;
+//! * [`stats`] — streaming summary statistics (Welford);
 //! * [`series`] — sampled time series of `(updates, correspondences)`
 //!   pairs, the exact data behind Fig. 6;
 //! * [`run`] — [`RunMetrics`]: everything one experiment run records,
 //!   serializable for EXPERIMENTS.md regeneration;
-//! * [`report`] — aligned-text tables and CSV rendering used by the
-//!   example binaries and the bench harness.
+//! * [`report`] — aligned-text tables used by the example binaries and
+//!   the bench harness.
 
 pub mod chart;
 pub mod report;
@@ -25,7 +24,7 @@ pub mod series;
 pub mod stats;
 
 pub use chart::render_ascii_chart;
-pub use report::{render_csv, render_table};
+pub use report::render_table;
 pub use run::{RunMetrics, SiteStats};
 pub use series::Series;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;

@@ -1,5 +1,5 @@
-//! Plain-text table and CSV rendering for examples, benches and
-//! EXPERIMENTS.md regeneration.
+//! Plain-text table rendering for examples, benches and EXPERIMENTS.md
+//! regeneration.
 
 /// Renders rows as an aligned monospace table with a header rule.
 ///
@@ -55,26 +55,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as RFC-4180-ish CSV (quoting cells containing commas,
-/// quotes or newlines).
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    fn escape(cell: &str) -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,17 +86,5 @@ mod tests {
         assert!(t.contains('x'));
         let empty = render_table(&["a"], &[]);
         assert_eq!(empty.lines().count(), 2);
-    }
-
-    #[test]
-    fn csv_basic_and_quoting() {
-        let csv = render_csv(
-            &["name", "note"],
-            &[vec!["a,b".into(), "say \"hi\"".into()], vec!["plain".into(), "x".into()]],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,note");
-        assert_eq!(lines[1], "\"a,b\",\"say \"\"hi\"\"\"");
-        assert_eq!(lines[2], "plain,x");
     }
 }

@@ -88,67 +88,6 @@ impl OnlineStats {
     }
 }
 
-/// Fixed-width bucket histogram over `[0, bucket_width × n_buckets)`, with
-/// an overflow bucket. Good enough for hop-count latency distributions.
-#[derive(Clone, Debug, Serialize)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// `n_buckets` buckets of `bucket_width` each.
-    pub fn new(bucket_width: u64, n_buckets: usize) -> Self {
-        assert!(bucket_width > 0 && n_buckets > 0);
-        Histogram { bucket_width, buckets: vec![0; n_buckets], overflow: 0, count: 0 }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count in the bucket covering `value`.
-    pub fn bucket_for(&self, value: u64) -> u64 {
-        let idx = (value / self.bucket_width) as usize;
-        self.buckets.get(idx).copied().unwrap_or(self.overflow)
-    }
-
-    /// Values beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile (`q` in 0..=1) using bucket upper bounds.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some((i as u64 + 1) * self.bucket_width - 1);
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,30 +144,5 @@ mod tests {
         empty.merge(&a);
         assert_eq!(empty.count(), 1);
         assert_eq!(empty.mean(), 3.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(5, 4); // covers 0..20
-        for v in [0, 4, 5, 19, 20, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bucket_for(0), 2);
-        assert_eq!(h.bucket_for(5), 1);
-        assert_eq!(h.bucket_for(19), 1);
-        assert_eq!(h.overflow(), 2);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1, 100);
-        for v in 0..100 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.5), Some(49));
-        assert_eq!(h.quantile(0.99), Some(98));
-        assert_eq!(h.quantile(1.0), Some(99));
-        assert_eq!(Histogram::new(1, 1).quantile(0.5), None);
     }
 }

@@ -2,8 +2,8 @@
 
 use avdb_core::{Accelerator, DistributedSystem};
 use avdb_escrow::TransferRecord;
-use avdb_simnet::{CountersSnapshot, RegistrySnapshot, TraceEvent};
-use avdb_telemetry::{FlightDump, FlightEvent, SpanRecord};
+use avdb_simnet::{CountersSnapshot, RegistrySnapshot};
+use avdb_telemetry::{FlightDump, FlightEvent, MessageEvent, SpanRecord};
 use avdb_types::{
     ProductId, SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime, Volume,
 };
@@ -104,7 +104,7 @@ pub struct Observation {
     pub network: CountersSnapshot,
     /// The message-sequence trace (empty unless recording was enabled;
     /// the live transports never record one).
-    pub trace: Vec<TraceEvent>,
+    pub trace: Vec<MessageEvent>,
     /// `(time, site)` of inputs lost to crashed sites — `Some` on the
     /// simulator (even when empty), `None` on transports that cannot
     /// know.

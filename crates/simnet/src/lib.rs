@@ -32,7 +32,6 @@ pub mod inspect;
 pub mod rng;
 pub mod runner;
 pub mod tcp;
-pub mod trace;
 pub mod transport;
 
 pub use actor::{Actor, Ctx, MsgInfo};
@@ -45,5 +44,4 @@ pub use hook::{FaultCtl, NetEvent, NetHook};
 pub use rng::DetRng;
 pub use runner::{Simulator, SimulatorBuilder};
 pub use tcp::TcpMesh;
-pub use trace::{render_sequence, Trace, TraceEvent};
 pub use transport::LiveRunner;

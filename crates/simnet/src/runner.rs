@@ -6,7 +6,7 @@ use crate::event::{Event, EventQueue};
 use crate::faults::{FaultPlan, FlapSchedule, LinkFilter};
 use crate::hook::{FaultCtl, NetEvent, NetHook, SchedOp};
 use crate::rng::DetRng;
-use crate::trace::Trace;
+use avdb_telemetry::MessageLog;
 use avdb_types::{LatencyModel, SiteId, VirtualTime};
 
 /// Configures and constructs a [`Simulator`].
@@ -93,7 +93,7 @@ impl SimulatorBuilder {
             max_events: self.max_events,
             lost_inputs: 0,
             lost_input_log: Vec::new(),
-            trace: Trace::new(),
+            trace: MessageLog::new(),
             hook: None,
         }
     }
@@ -134,7 +134,7 @@ pub struct Simulator<A: Actor> {
     /// `(time, site)` of each lost input, so a harness can reconstruct
     /// exactly which injected requests never reached their actor.
     lost_input_log: Vec<(VirtualTime, SiteId)>,
-    trace: Trace,
+    trace: MessageLog,
     /// State-triggered fault hook (nemesis engine), fired on sends,
     /// deliveries, crashes, and recoveries.
     hook: Option<Box<dyn NetHook>>,
@@ -274,13 +274,13 @@ impl<A: Actor> Simulator<A> {
     }
 
     /// Starts recording a message-sequence trace (see
-    /// [`crate::trace::render_sequence`]).
+    /// [`avdb_telemetry::render_sequence`]).
     pub fn enable_trace(&mut self) {
         self.trace.enable();
     }
 
     /// The recorded message-sequence trace.
-    pub fn trace(&self) -> &Trace {
+    pub fn trace(&self) -> &MessageLog {
         &self.trace
     }
 

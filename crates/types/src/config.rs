@@ -170,13 +170,6 @@ pub struct SystemConfig {
     /// value doubles as the rebalancer tick period. `0` disables (default).
     #[serde(default)]
     pub rebalance_horizon_ticks: u64,
-    /// Coalesced replication frames: fold a multi-delta propagation batch
-    /// into one net-delta-per-product frame, acked by log watermark. Cuts
-    /// message bytes (and receiver work) for `propagation_batch > 1` and
-    /// for anti-entropy retransmissions; disabled by default to keep the
-    /// per-update delta stream byte-compatible.
-    #[serde(default)]
-    pub coalesce_propagation: bool,
     /// Probability that the network silently drops any given message
     /// (fault-injection knob; 0.0 = reliable links). Replication repairs
     /// itself through retransmission; in-flight AV grants are destroyed
@@ -396,7 +389,6 @@ pub struct SystemConfigBuilder {
     proactive_push: bool,
     shortage_fanout: usize,
     rebalance_horizon_ticks: u64,
-    coalesce_propagation: bool,
     drop_probability: f64,
     trace_sample_rate: Option<f64>,
     anomaly_keep_rate: Option<f64>,
@@ -421,7 +413,6 @@ impl Default for SystemConfigBuilder {
             proactive_push: false,
             shortage_fanout: 0,
             rebalance_horizon_ticks: 0,
-            coalesce_propagation: false,
             drop_probability: 0.0,
             trace_sample_rate: None,
             anomaly_keep_rate: None,
@@ -545,13 +536,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables coalesced (net-delta-per-product) replication frames
-    /// (default off).
-    pub fn coalesce_propagation(mut self, on: bool) -> Self {
-        self.coalesce_propagation = on;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -608,7 +592,6 @@ impl SystemConfigBuilder {
             proactive_push: self.proactive_push,
             shortage_fanout: self.shortage_fanout,
             rebalance_horizon_ticks: self.rebalance_horizon_ticks,
-            coalesce_propagation: self.coalesce_propagation,
             drop_probability: self.drop_probability,
             trace_sample_rate: self.trace_sample_rate,
             anomaly_keep_rate: self.anomaly_keep_rate,
@@ -743,17 +726,14 @@ mod tests {
         let cfg = base().build().unwrap();
         assert_eq!(cfg.shortage_fanout, 0);
         assert_eq!(cfg.rebalance_horizon_ticks, 0);
-        assert!(!cfg.coalesce_propagation);
 
         let cfg = base()
             .shortage_fanout(3)
             .rebalance_horizon_ticks(512)
-            .coalesce_propagation(true)
             .build()
             .unwrap();
         assert_eq!(cfg.shortage_fanout, 3);
         assert_eq!(cfg.rebalance_horizon_ticks, 512);
-        assert!(cfg.coalesce_propagation);
         let json = serde_json::to_string(&cfg).unwrap();
         assert_eq!(cfg, serde_json::from_str::<SystemConfig>(&json).unwrap());
 
@@ -761,13 +741,11 @@ mod tests {
         // strip the new keys from the JSON text and reparse.
         let stripped = json
             .replace("\"shortage_fanout\":3,", "")
-            .replace("\"rebalance_horizon_ticks\":512,", "")
-            .replace("\"coalesce_propagation\":true,", "");
+            .replace("\"rebalance_horizon_ticks\":512,", "");
         assert_ne!(stripped, json, "the knobs serialize under their field names");
         let old: SystemConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old.shortage_fanout, 0);
         assert_eq!(old.rebalance_horizon_ticks, 0);
-        assert!(!old.coalesce_propagation);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn usage() -> ! {
          avdb-bench run [--transports sim,threads,tcp] [--sites 3,7] [--updates N]\n    \
          [--faults clean,loss,crash,partition] [--alloc uniform,all-at-base,...]\n    \
          [--zipf 0,900] [--batch 1,4] [--fanout 0,4] [--rebalance 0,512]\n    \
-         [--coalesce 0,1] [--sample-milli 0,10,1000] [--series-window 0,64]\n    \
+         [--sample-milli 0,10,1000] [--series-window 0,64]\n    \
          [--scenarios none|all|flash-sale,kill-the-granter,...]\n    \
          [--imm-products N] [--regular-products N]\n    \
          [--stock N] [--spacing N] [--seed N] [--open-loop] [--label L] [--out DIR]\n    \
@@ -59,24 +59,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Expands the fast-lane flag lists into the cross product of
-/// (fanout, rebalance horizon, coalesce) cells, in flag order.
-fn fast_lane_cells(
-    fanouts: &[usize],
-    rebalances: &[u64],
-    coalesces: &[bool],
-) -> Vec<(usize, u64, bool)> {
-    let mut cells = Vec::new();
-    for &fanout in fanouts {
-        for &rebalance in rebalances {
-            for &coalesce in coalesces {
-                cells.push((fanout, rebalance, coalesce));
-            }
-        }
-    }
-    cells
-}
-
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut transports = vec![TransportKind::Sim];
     let mut sites = vec![3usize, 7];
@@ -87,7 +69,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut batches = vec![1usize];
     let mut fanouts = vec![0usize];
     let mut rebalances = vec![0u64];
-    let mut coalesces = vec![false];
     let mut sample_millis = vec![0u32];
     let mut series_windows = vec![0u64];
     let mut scenarios: Vec<Option<String>> = vec![None];
@@ -117,13 +98,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--batch" => batches = parse_list(arg, &value(arg), |s| s.parse().ok()),
             "--fanout" => fanouts = parse_list(arg, &value(arg), |s| s.parse().ok()),
             "--rebalance" => rebalances = parse_list(arg, &value(arg), |s| s.parse().ok()),
-            "--coalesce" => {
-                coalesces = parse_list(arg, &value(arg), |s| match s {
-                    "0" | "false" => Some(false),
-                    "1" | "true" => Some(true),
-                    _ => None,
-                });
-            }
             "--sample-milli" => {
                 sample_millis =
                     parse_list(arg, &value(arg), |s| s.parse().ok().filter(|&m| m <= 1000));
@@ -183,8 +157,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     for &allocation in &allocs {
                         for &zipf_milli in &zipfs {
                             for &batch in &batches {
-                                for &(fanout, rebalance, coalesce) in
-                                    fast_lane_cells(&fanouts, &rebalances, &coalesces).iter()
+                                for (&fanout, &rebalance) in fanouts
+                                    .iter()
+                                    .flat_map(|f| rebalances.iter().map(move |r| (f, r)))
                                 {
                                     for ((scenario, &sample_milli), &series_window) in scenarios
                                         .iter()
@@ -203,7 +178,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                                         spec.propagation_batch = batch;
                                         spec.shortage_fanout = fanout;
                                         spec.rebalance_horizon_ticks = rebalance;
-                                        spec.coalesce_propagation = coalesce;
                                         spec.trace_sample_milli = sample_milli;
                                         spec.series_window_ticks = series_window;
                                         spec.scenario = scenario.clone();

@@ -61,7 +61,6 @@ struct Sweep {
     faults: Vec<Fault>,
     sites: Vec<usize>,
     fanouts: Vec<usize>,
-    coalesces: Vec<bool>,
     /// Non-empty switches the run to the chaos-scenario sweep mode.
     scenarios: Vec<Scenario>,
     requests: usize,
@@ -80,8 +79,6 @@ struct Case {
     n_sites: usize,
     /// Shortage fan-out width (0 = the paper's serial request loop).
     fanout: usize,
-    /// Run with coalesced propagation frames (batch 4 so folding occurs).
-    coalesce: bool,
 }
 
 const TICKS_PER_REQUEST: u64 = 4;
@@ -89,7 +86,7 @@ const TICKS_PER_REQUEST: u64 = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: avdb-check [--seeds A..B] [--faults all|clean,crash,partition,loss] \
-         [--sites N,M] [--fanout 0,2] [--coalesce 0,1] \
+         [--sites N,M] [--fanout 0,2] \
          [--scenario all|flash-sale,kill-the-granter,...] [--requests N] \
          [--prefix N] [--verbose] [--stats]"
     );
@@ -102,7 +99,6 @@ fn parse_args() -> Sweep {
         faults: Fault::ALL.to_vec(),
         sites: vec![3, 5],
         fanouts: vec![0],
-        coalesces: vec![false],
         scenarios: Vec::new(),
         requests: 40,
         prefix: None,
@@ -137,17 +133,6 @@ fn parse_args() -> Sweep {
                 sweep.fanouts =
                     v.split(',').map(|s| s.parse().unwrap_or_else(|_| usage())).collect();
             }
-            "--coalesce" => {
-                let v = value("--coalesce");
-                sweep.coalesces = v
-                    .split(',')
-                    .map(|s| match s {
-                        "0" | "false" => false,
-                        "1" | "true" => true,
-                        _ => usage(),
-                    })
-                    .collect();
-            }
             "--scenario" | "--scenarios" => {
                 let v = value("--scenario");
                 sweep.scenarios = if v == "all" {
@@ -174,7 +159,6 @@ fn parse_args() -> Sweep {
         || sweep.faults.is_empty()
         || sweep.sites.is_empty()
         || sweep.fanouts.is_empty()
-        || sweep.coalesces.is_empty()
     {
         usage();
     }
@@ -193,10 +177,6 @@ fn config(case: Case) -> SystemConfig {
         .non_regular_products(1, Volume(50))
         .shortage_fanout(case.fanout)
         .seed(case.seed);
-    if case.coalesce {
-        // Batch > 1 so the coalescer actually folds deltas into frames.
-        builder = builder.coalesce_propagation(true).propagation_batch(4);
-    }
     if case.fault == Fault::Loss {
         builder = builder.drop_probability(0.05);
     }
@@ -344,23 +324,20 @@ fn minimize(case: Case, full: usize) -> (usize, Report, RegistrySnapshot, Observ
 /// survives alongside the printed repro line. Returns the path written.
 fn write_flight_dump(case: Case, min_requests: usize, obs: &Observation) -> Option<String> {
     let reason = format!(
-        "oracle-violation: fault={} seed={} sites={} fanout={} coalesce={} \
-         requests={min_requests}",
+        "oracle-violation: fault={} seed={} sites={} fanout={} requests={min_requests}",
         case.fault.name(),
         case.seed,
         case.n_sites,
         case.fanout,
-        case.coalesce as u8
     );
     let dump = obs.flight_dump(&reason);
     let dir = std::path::Path::new("results/flight");
     let path = dir.join(format!(
-        "check-{}-seed{}-sites{}-fk{}-c{}.json",
+        "check-{}-seed{}-sites{}-fk{}.json",
         case.fault.name(),
         case.seed,
         case.n_sites,
         case.fanout,
-        case.coalesce as u8
     ));
     if std::fs::create_dir_all(dir).is_err() || std::fs::write(&path, dump.to_json()).is_err() {
         eprintln!("avdb-check: could not write flight dump to {}", path.display());
@@ -493,14 +470,13 @@ fn main() -> ExitCode {
     }
     let started = std::time::Instant::now();
     println!(
-        "avdb-check: seeds {}..{}, faults [{}], sites {:?}, fanout {:?}, coalesce {:?}, \
+        "avdb-check: seeds {}..{}, faults [{}], sites {:?}, fanout {:?}, \
          {} requests/run",
         sweep.seeds.start,
         sweep.seeds.end,
         sweep.faults.iter().map(|f| f.name()).collect::<Vec<_>>().join(", "),
         sweep.sites,
         sweep.fanouts,
-        sweep.coalesces,
         sweep.requests,
     );
     let mut runs = 0u64;
@@ -511,62 +487,52 @@ fn main() -> ExitCode {
     let single_case = sweep.seeds.end.saturating_sub(sweep.seeds.start) == 1
         && sweep.faults.len() == 1
         && sweep.sites.len() == 1
-        && sweep.fanouts.len() == 1
-        && sweep.coalesces.len() == 1;
+        && sweep.fanouts.len() == 1;
     for &fault in &sweep.faults {
         let mut fault_runs = 0u64;
         let mut fault_failures = 0u64;
         for &n_sites in &sweep.sites {
             for &fanout in &sweep.fanouts {
-                for &coalesce in &sweep.coalesces {
-                    for seed in sweep.seeds.clone() {
-                        let case = Case { seed, fault, n_sites, fanout, coalesce };
-                        let (report, registry, _) =
-                            run_case(case, sweep.requests, sweep.requests);
-                        fault_runs += 1;
-                        if sweep.verbose {
+                for seed in sweep.seeds.clone() {
+                    let case = Case { seed, fault, n_sites, fanout };
+                    let (report, registry, _) = run_case(case, sweep.requests, sweep.requests);
+                    fault_runs += 1;
+                    if sweep.verbose {
+                        println!(
+                            "  {} seed={seed} sites={n_sites} fanout={fanout}: {}",
+                            fault.name(),
+                            if report.is_ok() { "ok" } else { "VIOLATION" }
+                        );
+                    }
+                    if sweep.stats && single_case {
+                        print_stats(&registry);
+                    }
+                    if !report.is_ok() {
+                        fault_failures += 1;
+                        println!(
+                            "VIOLATION fault={} seed={seed} sites={n_sites} \
+                             fanout={fanout} requests={}",
+                            fault.name(),
+                            sweep.requests
+                        );
+                        print!("{report}");
+                        let (min_requests, min_report, min_registry, min_obs) =
+                            minimize(case, sweep.requests);
+                        println!(
+                            "  minimal repro: --seeds {seed}..{} --faults {} \
+                             --sites {n_sites} --fanout {fanout} --requests {min_requests}",
+                            seed + 1,
+                            fault.name(),
+                        );
+                        if let Some(path) = write_flight_dump(case, min_requests, &min_obs) {
                             println!(
-                                "  {} seed={seed} sites={n_sites} fanout={fanout} \
-                                 coalesce={}: {}",
-                                fault.name(),
-                                coalesce as u8,
-                                if report.is_ok() { "ok" } else { "VIOLATION" }
+                                "  flight recorder dump: {path} \
+                                 (render with `avdb-trace flight`)"
                             );
                         }
-                        if sweep.stats && single_case {
-                            print_stats(&registry);
-                        }
-                        if !report.is_ok() {
-                            fault_failures += 1;
-                            println!(
-                                "VIOLATION fault={} seed={seed} sites={n_sites} \
-                                 fanout={fanout} coalesce={} requests={}",
-                                fault.name(),
-                                coalesce as u8,
-                                sweep.requests
-                            );
-                            print!("{report}");
-                            let (min_requests, min_report, min_registry, min_obs) =
-                                minimize(case, sweep.requests);
-                            println!(
-                                "  minimal repro: --seeds {seed}..{} --faults {} \
-                                 --sites {n_sites} --fanout {fanout} --coalesce {} \
-                                 --requests {min_requests}",
-                                seed + 1,
-                                fault.name(),
-                                coalesce as u8
-                            );
-                            if let Some(path) = write_flight_dump(case, min_requests, &min_obs)
-                            {
-                                println!(
-                                    "  flight recorder dump: {path} \
-                                     (render with `avdb-trace flight`)"
-                                );
-                            }
-                            print!("{min_report}");
-                            if sweep.stats {
-                                print_stats(&min_registry);
-                            }
+                        print!("{min_report}");
+                        if sweep.stats {
+                            print_stats(&min_registry);
                         }
                     }
                 }

@@ -167,7 +167,7 @@ fn cmd_demo() -> Result<()> {
     for (at, site, outcome) in system.drain_outcomes() {
         println!("t={at:<3} {site}: {outcome:?}");
     }
-    println!("\nmessage sequence:\n{}", avdb::simnet::render_sequence(system.trace()));
+    println!("\nmessage sequence:\n{}", avdb::telemetry::render_sequence(system.trace()));
     Ok(())
 }
 

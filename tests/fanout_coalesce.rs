@@ -1,8 +1,6 @@
-//! System-level properties of the shortage-path fast lane: coalesced
-//! replication must converge to the same replicated state as the
-//! uncoalesced path on the same seed, and parallel AV fan-out (with
-//! over-grant return and grant timeouts) must conserve the system-wide
-//! AV per product — clean and under message loss.
+//! System-level properties of the shortage-path fast lane: parallel AV
+//! fan-out (with over-grant return and grant timeouts) must conserve the
+//! system-wide AV per product — clean and under message loss.
 
 mod common;
 
@@ -43,47 +41,6 @@ fn run(cfg: SystemConfig, sched: &[(VirtualTime, UpdateRequest)]) -> Distributed
     sys
 }
 
-/// Final replicated state of a settled system: stock at every site plus
-/// the system-wide AV total, per product.
-fn state_matrix(sys: &DistributedSystem, n_sites: usize, n_products: u32) -> Vec<Vec<i64>> {
-    (0..n_products)
-        .map(|p| {
-            let mut row: Vec<i64> = SiteId::all(n_sites)
-                .map(|s| sys.stock(s, ProductId(p)).0)
-                .collect();
-            row.push(sys.av_system_total(ProductId(p)).0);
-            row
-        })
-        .collect()
-}
-
-#[test]
-fn coalesced_propagation_converges_to_the_uncoalesced_state() {
-    const SITES: usize = 4;
-    const PRODUCTS: u32 = 3;
-    for seed in 0..10u64 {
-        let cfg = |coalesce: bool| {
-            SystemConfig::builder()
-                .sites(SITES)
-                .regular_products(PRODUCTS as usize, Volume(400))
-                .propagation_batch(4)
-                .coalesce_propagation(coalesce)
-                .seed(seed)
-                .build()
-                .unwrap()
-        };
-        let sched = schedule(seed, SITES, PRODUCTS, 60);
-        let plain = run(cfg(false), &sched);
-        let coalesced = run(cfg(true), &sched);
-        assert_eq!(
-            state_matrix(&plain, SITES, PRODUCTS),
-            state_matrix(&coalesced, SITES, PRODUCTS),
-            "seed {seed}: coalesced frames must replicate the same state"
-        );
-        coalesced.check_convergence().expect("coalesced replicas converge");
-    }
-}
-
 #[test]
 fn fanout_conserves_system_av_on_clean_links() {
     const SITES: usize = 5;
@@ -119,7 +76,6 @@ fn fanout_never_mints_av_under_loss_and_rebalancing() {
             .av_allocation(AvAllocation::AllAtBase)
             .shortage_fanout(4)
             .rebalance_horizon_ticks(200)
-            .coalesce_propagation(true)
             .propagation_batch(3)
             .drop_probability(0.05)
             .seed(seed)

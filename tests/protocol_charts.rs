@@ -4,7 +4,7 @@
 //! for message against the implementation's trace.
 
 use avdb::prelude::*;
-use avdb::simnet::render_sequence;
+use avdb::telemetry::render_sequence;
 
 fn charted_system() -> DistributedSystem {
     let cfg = SystemConfig::builder()
