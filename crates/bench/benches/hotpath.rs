@@ -169,17 +169,6 @@ fn bench_knowledge_exchange(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     for &sites in &[8usize, 32, 64] {
         let products = 4u32;
-        // Cold encode: everything since the boot watermark ships (the
-        // dense worst case the delta digest replaced).
-        group.bench_function(format!("encode_full/{sites}_sites"), |b| {
-            let (mut tx, _) = exchange_pair(sites, products);
-            b.iter(|| {
-                // Fresh peer slot each round so the watermark never advances.
-                let rows = tx.encode_digest_for(SiteId(0), SiteId(1));
-                tx.rewind_digest_for(SiteId(1));
-                black_box(rows);
-            })
-        });
         // Steady state: one observation lands, one single-row digest
         // rides the next frame, the receiver merges it.
         group.bench_function(format!("roundtrip_delta/{sites}_sites"), |b| {

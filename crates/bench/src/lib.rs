@@ -20,9 +20,11 @@
 //! ```
 //!
 //! Micro-benchmark targets (plain `harness = false` binaries, run with
-//! `cargo bench -p avdb-bench --bench <name>`): `fig6`, `table1`,
-//! `ablations`, `scaling`, `mix`, `micro`. Each regenerates and prints
-//! its paper artifact, then times the experiment kernel.
+//! `cargo bench -p avdb-bench --bench <name>`): `micro` times storage,
+//! escrow, RNG, event-queue and end-to-end kernels; `hotpath` times the
+//! shortage path's per-message helpers. The paper's experiments are not
+//! bench targets: `avdb fig6|table1|ablations|faults|report` regenerate
+//! them from `avdb_sim::EXPERIMENTS`.
 
 pub mod matrix;
 pub mod report;
@@ -32,12 +34,5 @@ pub use matrix::{FaultProfile, ScenarioSpec, TransportKind};
 pub use report::{BenchReport, Percentiles, ScenarioResult, ScenarioStats, WallStats};
 pub use run::{run_scenario, run_scenario_with_flight_dir, RunArtifacts};
 
-/// Updates used when a bench regenerates the printed artifact.
-pub const PRINT_UPDATES: usize = 2_000;
-
-/// Updates used inside timed iterations (kept small so Criterion can
-/// sample enough runs).
-pub const TIMED_UPDATES: usize = 500;
-
-/// Seed shared by all bench targets.
+/// Seed shared by the micro-benchmarks.
 pub const SEED: u64 = 1;

@@ -167,21 +167,30 @@ impl ReplicationState {
     /// entirely while a batch is still filling.
     pub fn batch_ready(&self, batch: usize) -> bool {
         let end = self.end();
+        let flush_at = self.flush_at(batch);
         self.sent
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != self.me.index())
-            .any(|(_, s)| end.saturating_sub((*s).max(self.base)) >= batch as u64)
+            .any(|(_, s)| end.saturating_sub((*s).max(self.base)) >= flush_at)
+    }
+
+    /// Pending deltas that trigger a batch flush: `batch`, capped at the
+    /// retained-entry cap. A larger batch could never fill, because the
+    /// log folds its oldest entries away before holding that many.
+    fn flush_at(&self, batch: usize) -> u64 {
+        batch.min(self.ckpt_threshold) as u64
     }
 
     /// The frame a *normal batch flush* should send to `peer`: everything
-    /// committed since the last send, if it reaches `batch` deltas.
+    /// committed since the last send, if it reaches `batch` deltas (or
+    /// the retained-entry cap, whichever is smaller).
     /// Advances the sent cursor.
     pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<Frame> {
         debug_assert_ne!(peer, self.me);
         let from = self.sent[peer.index()].max(self.base);
         let end = self.end();
-        if end.saturating_sub(from) < batch as u64 {
+        if end.saturating_sub(from) < self.flush_at(batch) {
             return None;
         }
         let deltas = self.slice(from, end);
@@ -684,6 +693,19 @@ mod tests {
         assert!(r.batch_ready(1), "peer 2 still pending");
         let _ = r.take_batch(SiteId(2), 1).unwrap();
         assert!(!r.batch_ready(1));
+    }
+
+    #[test]
+    fn batch_larger_than_the_checkpoint_threshold_flushes_at_the_threshold() {
+        let mut r = state();
+        r.set_checkpoint_threshold(3);
+        for i in 0..3 {
+            assert!(!r.batch_ready(400));
+            r.record(d(i));
+        }
+        assert!(r.batch_ready(400), "a full log must flush before folding");
+        let frame = r.take_batch(SiteId(1), 400).unwrap();
+        assert_eq!((frame.offset, frame.deltas.len()), (0, 3));
     }
 
     #[test]

@@ -52,14 +52,17 @@ pub enum Violation {
         expected: Volume,
     },
     /// Replaying committed updates in completion order drove a regular
-    /// product's global stock negative — the escrow bound was violated.
+    /// product's global stock below `initial stock − initial AV` — the
+    /// escrow bound was violated.
     Oversell {
         /// The oversold product.
         product: ProductId,
         /// The committing transaction.
         txn: TxnId,
-        /// The (negative) running stock it produced.
+        /// The running stock it produced.
         running: Volume,
+        /// The lowest stock the initial AV provisioning admits.
+        floor: Volume,
     },
     /// System-wide AV diverged from the conservation identity.
     AvConservation {
@@ -178,9 +181,10 @@ impl fmt::Display for Violation {
                 f,
                 "{product} converged to {converged} but committed deltas say {expected}"
             ),
-            Violation::Oversell { product, txn, running } => {
-                write!(f, "{product} oversold: {txn} drove global stock to {running}")
-            }
+            Violation::Oversell { product, txn, running, floor } => write!(
+                f,
+                "{product} oversold: {txn} drove global stock to {running} (floor {floor})"
+            ),
             Violation::AvConservation { product, expected, actual, strict } => write!(
                 f,
                 "{product} AV conservation broken: expected {}{expected}, system holds {actual}",
@@ -418,8 +422,13 @@ fn check_stock_against_commits(
 }
 
 /// Replays committed updates in completion order and checks that no
-/// regular product's *global* stock ever went negative — the central
-/// escrow guarantee: local commits against held AV can never oversell.
+/// regular product's *global* stock ever dipped below
+/// `initial stock − initial AV` — the central escrow guarantee: every
+/// decrement consumes AV, and AV only grows with increments, so
+/// `stock − ΣAV` never drops below its initial value. With the default
+/// provisioning (AV = stock) the floor is 0: local commits against held
+/// AV can never oversell. Provisioning more AV than stock admits exactly
+/// that much dip; provisioning less tightens the bound.
 ///
 /// Commits at the same instant apply increments first: a minted volume is
 /// only consumable from the same tick onward, never earlier.
@@ -436,14 +445,17 @@ fn check_oversell(obs: &Observation, map: &TxnMap<'_>, report: &mut Report) {
     for (_, txn, items) in &commits {
         model.apply_unchecked(items);
         for (product, _) in items {
-            let entry = obs.cfg.entry(*product);
-            let regular = entry.map(|e| e.class.uses_av()).unwrap_or(false);
+            let Some(entry) = obs.cfg.entry(*product).ok().filter(|e| e.class.uses_av()) else {
+                continue;
+            };
+            let floor = entry.initial_stock - obs.cfg.initial_av_of(*product);
             let running = model.stock(*product).unwrap_or(Volume::ZERO);
-            if regular && running.is_negative() {
+            if running < floor {
                 report.violations.push(Violation::Oversell {
                     product: *product,
                     txn: *txn,
                     running,
+                    floor,
                 });
             }
         }
@@ -702,5 +714,69 @@ fn check_causality(obs: &Observation, report: &mut Report) {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avdb_core::DistributedSystem;
+    use avdb_types::{SystemConfig, UpdateKind, UpdateOutcome};
+
+    const P: ProductId = ProductId(0);
+
+    /// An observation of a 3-site run with one regular product of stock
+    /// 100 provisioned with `initial_av`, whose only outcomes are the
+    /// given site-1 decrements, all committed in order.
+    fn observe(initial_av: i64, decrements: &[i64]) -> Observation {
+        let cfg = SystemConfig::builder()
+            .sites(3)
+            .regular_products(1, Volume(100))
+            .initial_av(vec![Volume(initial_av)])
+            .build()
+            .unwrap();
+        let sys = DistributedSystem::new(cfg);
+        let mut submitted = Vec::new();
+        let mut outcomes = Vec::new();
+        for (seq, &delta) in decrements.iter().enumerate() {
+            let at = VirtualTime(seq as u64);
+            submitted.push(SubmittedRequest::multi(at, SiteId(1), vec![(P, Volume(delta))]));
+            let outcome = UpdateOutcome::Committed {
+                txn: TxnId::new(SiteId(1), seq as u64),
+                kind: UpdateKind::Delay,
+                completed_at: at,
+                correspondences: 0,
+                client: None,
+            };
+            outcomes.push((at, SiteId(1), outcome));
+        }
+        Observation::from_system(&sys, submitted, outcomes)
+    }
+
+    fn oversells(obs: &Observation) -> Vec<(Volume, Volume)> {
+        check(obs)
+            .violations
+            .into_iter()
+            .filter_map(|v| match v {
+                Violation::Oversell { running, floor, .. } => Some((running, floor)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dip_below_stock_minus_av_is_flagged_even_above_zero() {
+        // AV 40 < stock 100: the escrow admits at most 40 units of
+        // decrements, so a stock of 50 (≥ 0) is already an oversell.
+        let obs = observe(40, &[-30, -20]);
+        assert_eq!(oversells(&obs), vec![(Volume(50), Volume(60))]);
+        assert!(oversells(&observe(40, &[-30, -10])).is_empty(), "exactly at the floor");
+    }
+
+    #[test]
+    fn av_above_stock_admits_the_dip_it_provisions() {
+        // AV 150 > stock 100: the floor is −50.
+        assert!(oversells(&observe(150, &[-90, -60])).is_empty());
+        assert_eq!(oversells(&observe(150, &[-90, -61])), vec![(Volume(-51), Volume(-50))]);
     }
 }

@@ -8,11 +8,9 @@
 //! committing Delay Updates in real time, while the conventional system
 //! completes *nothing* remote until its center returns.
 
-use crate::runner::RunOutput;
 use crate::scenarios::paper_scenario;
 use avdb_baseline::CentralizedSystem;
 use avdb_core::DistributedSystem;
-use avdb_simnet::CountersSnapshot;
 use avdb_types::{SiteId, UpdateOutcome, VirtualTime};
 use avdb_workload::UpdateStream;
 use serde::Serialize;
@@ -49,6 +47,39 @@ pub struct FaultResult {
     /// Conventional: worst commit latency in ticks (shows the outage
     /// stall).
     pub conventional_max_latency: u64,
+}
+
+impl FaultResult {
+    /// Renders the crash's outage window and both systems' counts.
+    pub fn render(&self) -> String {
+        let role = if self.crashed_site == 0 { "maker / center" } else { "retailer" };
+        format!(
+            "=== crash of {role} (site {}) (outage {} ticks) ===
+  updates issued:                      {}
+  proposal     committed (total):      {}
+  proposal     committed DURING outage: {}
+  proposal     unserviceable (dead site): {}
+  proposal     aborted:                {}
+  proposal     converged after:        {}
+  conventional committed (total):      {}
+  conventional committed DURING outage: {}
+  conventional unserviceable:          {}
+  conventional worst latency:          {} ticks
+",
+            self.crashed_site,
+            self.outage.1 - self.outage.0,
+            self.issued,
+            self.proposal_committed,
+            self.proposal_committed_during_outage,
+            self.proposal_unserviceable,
+            self.proposal_aborted,
+            self.converged_after_recovery,
+            self.conventional_committed,
+            self.conventional_committed_during_outage,
+            self.conventional_unserviceable,
+            self.conventional_max_latency,
+        )
+    }
 }
 
 fn count_in_window(
@@ -144,11 +175,6 @@ pub fn run_fault_experiment(crash_site: SiteId, n_updates: usize, seed: u64) -> 
         conventional_unserviceable: conv.lost_inputs(),
         conventional_max_latency,
     }
-}
-
-/// Convenience: the network snapshot of a run (used by reports).
-pub fn network_of(run: &RunOutput) -> &CountersSnapshot {
-    &run.network
 }
 
 #[cfg(test)]

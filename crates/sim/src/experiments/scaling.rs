@@ -14,8 +14,9 @@
 //!   cap (`10 % × (n−1)`, matching aggregate drain) and the initial
 //!   AV pool (`× n/3`, keeping each site's buffer constant instead of
 //!   fragmenting a fixed pool ever thinner; note this provisions more AV
-//!   than initial stock, trading the strict no-oversell bound for
-//!   buffering — exactly the provisioning decision an operator makes).
+//!   than initial stock, so global stock may dip to
+//!   `stock − AV = −stock × (n−3)/3`, the bound the oracle checks —
+//!   exactly the provisioning decision an operator makes).
 //!   This isolates the *protocol's* scaling from the workload's
 //!   imbalance.
 
@@ -160,6 +161,14 @@ mod tests {
                 r.reduction
             );
         }
+    }
+
+    #[test]
+    fn balanced_provisioning_may_dip_below_zero_but_not_below_stock_minus_av() {
+        // Initial AV = stock × 5/3 lets global stock dip below zero; the
+        // oracle must admit that provisioned dip (run panics otherwise).
+        let rows = run_scaling_balanced(&[5], 2000, 1);
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //! * [`experiments::scaling`] — A3, site-count scaling;
 //! * [`experiments::mix`] — A4, Delay/Immediate product mixes;
 //! * [`experiments::faults`] — A5, crash/recovery behaviour of both
-//!   systems.
+//!   systems;
+//! * [`experiments::circulation`] — A9, proactive AV push;
+//! * [`experiments::freshness`] — A10, propagation batching.
 //!
-//! Everything is deterministic per `(scenario, seed)`; the bench targets
-//! in `avdb-bench` and the example binaries call straight into this crate.
+//! [`report::EXPERIMENTS`] lists every experiment with its id, heading and
+//! sweep points; the `avdb` binary prints and writes from that list
+//! alone. Everything is deterministic per `(scenario, seed)`.
 
 pub mod experiments;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
 
-pub use report::{generate_report, ReportScale};
+pub use report::{generate_report, ReportScale, EXPERIMENTS};
 pub use runner::{run_conventional, run_lock_everything, run_proposal, RunOutput};
 pub use scenarios::{paper_config, paper_scenario, PAPER_N_PRODUCTS, PAPER_STOCK};

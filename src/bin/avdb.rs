@@ -3,49 +3,32 @@
 //! ```sh
 //! avdb fig6      [--updates N] [--seed S]     # E1: Fig. 6
 //! avdb table1    [--updates N] [--seed S]     # E2: Table 1
-//! avdb ablations [--updates N] [--seed S]     # A1–A4, A6–A10 sweeps
-//! avdb faults    [--updates N] [--seed S]     # A5: crash experiments
+//! avdb ablations [--ablation N] [--seed S]    # A1–A4, A6–A10 sweeps
+//! avdb faults    [--ablation N] [--seed S]    # A5: crash experiments
 //! avdb report    [--dir D] [--updates N] [--ablation N] [--seed S]
-//! avdb demo                                    # 3-site walkthrough
 //! avdb serve [--sites N] [--seed S] [--updates N] [--hold-ms MS]
 //!            [--series-window N] [--addr-file PATH]
 //!            [--flight-dir DIR]                      # TCP cluster + /metrics
 //!                                  # + wire-protocol gateway (PATH.wire)
 //! avdb top --targets HOST:PORT,... [--interval-ms N] [--once] [--check]
 //! ```
+//!
+//! The experiment subcommands print entries of
+//! [`avdb::sim::EXPERIMENTS`]; `report` writes all of them as JSON.
 
 use avdb::prelude::*;
-use avdb::sim::experiments::{
-    ablations, circulation, freshness, mix, run_allocation_sweep, run_circulation,
-    run_decide_sweep, run_fault_experiment, run_fig6, run_freshness, run_magnitude_sweep,
-    run_mix, run_scaling, run_scaling_balanced, run_select_sweep, run_skew_sweep, run_table1,
-    scaling,
-};
-use avdb::sim::{generate_report, ReportScale};
+use avdb::sim::{generate_report, ReportScale, EXPERIMENTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Parsed command-line options.
+/// Parsed command-line options of the experiment subcommands.
 struct Opts {
-    updates: usize,
-    ablation_updates: usize,
-    seed: u64,
+    scale: ReportScale,
     dir: PathBuf,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            updates: 10_000,
-            ablation_updates: 3_000,
-            seed: 1,
-            dir: PathBuf::from("results/json"),
-        }
-    }
-}
-
 fn parse_opts(args: &[String]) -> Result<Opts> {
-    let mut opts = Opts::default();
+    let mut opts = Opts { scale: ReportScale::default(), dir: PathBuf::from("results/json") };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String> {
@@ -55,17 +38,17 @@ fn parse_opts(args: &[String]) -> Result<Opts> {
         };
         match flag.as_str() {
             "--updates" => {
-                opts.updates = value("--updates")?
+                opts.scale.paper_updates = value("--updates")?
                     .parse()
                     .map_err(|e| AvdbError::InvalidConfig(format!("--updates: {e}")))?;
             }
             "--ablation" => {
-                opts.ablation_updates = value("--ablation")?
+                opts.scale.ablation_updates = value("--ablation")?
                     .parse()
                     .map_err(|e| AvdbError::InvalidConfig(format!("--ablation: {e}")))?;
             }
             "--seed" => {
-                opts.seed = value("--seed")?
+                opts.scale.seed = value("--seed")?
                     .parse()
                     .map_err(|e| AvdbError::InvalidConfig(format!("--seed: {e}")))?;
             }
@@ -78,96 +61,22 @@ fn parse_opts(args: &[String]) -> Result<Opts> {
     Ok(opts)
 }
 
-fn cmd_fig6(opts: &Opts) {
-    let result = run_fig6(opts.updates, opts.seed);
-    println!("{}", result.render());
-}
-
-fn cmd_table1(opts: &Opts) {
-    let step = (opts.updates / 5).max(1) as u64;
-    let checkpoints: Vec<u64> = (1..=5).map(|i| i * step).collect();
-    let result = run_table1(&checkpoints, opts.seed);
-    println!("{}", result.render());
-    println!(
-        "retailer unfairness: {:.1}% (paper: \"almost same\")",
-        result.retailer_unfairness() * 100.0
-    );
-}
-
-fn cmd_ablations(opts: &Opts) {
-    let (n, seed) = (opts.ablation_updates, opts.seed);
-    println!("=== A1 deciding ===\n{}", ablations::render_rows(&run_decide_sweep(n, seed)));
-    println!("=== A2 selecting ===\n{}", ablations::render_rows(&run_select_sweep(n, seed)));
-    println!(
-        "=== A3 scaling (paper rates) ===\n{}",
-        scaling::render_rows(&run_scaling(&[3, 5, 9, 17], n, seed))
-    );
-    println!(
-        "=== A3b scaling (balanced) ===\n{}",
-        scaling::render_rows(&run_scaling_balanced(&[3, 5, 9, 17], n, seed))
-    );
-    println!(
-        "=== A4 mix ===\n{}",
-        mix::render_rows(&run_mix(&[0.0, 0.1, 0.25, 0.5, 1.0], n, seed))
-    );
-    println!("=== A6 allocation ===\n{}", ablations::render_rows(&run_allocation_sweep(n, seed)));
-    println!("=== A7 skew ===\n{}", ablations::render_rows(&run_skew_sweep(n, seed)));
-    println!("=== A8 magnitude ===\n{}", ablations::render_rows(&run_magnitude_sweep(n, seed)));
-    println!(
-        "=== A9 circulation ===\n{}",
-        circulation::render_rows(&run_circulation(n, seed))
-    );
-    println!(
-        "=== A10 freshness ===\n{}",
-        freshness::render_rows(&run_freshness(&[1, 5, 25, 100], n, seed))
-    );
-}
-
-fn cmd_faults(opts: &Opts) {
-    for (label, site) in [("retailer (site2)", SiteId(2)), ("maker (site0)", SiteId(0))] {
-        let r = run_fault_experiment(site, opts.ablation_updates, opts.seed);
-        println!("=== crash of {label} ===");
-        println!(
-            "  proposal: {} commits total, {} during outage, converged={}",
-            r.proposal_committed, r.proposal_committed_during_outage, r.converged_after_recovery
-        );
-        println!(
-            "  conventional: {} commits total, {} during outage, worst latency {} ticks\n",
-            r.conventional_committed,
-            r.conventional_committed_during_outage,
-            r.conventional_max_latency
-        );
+/// Prints every experiment `command` selects; headings separate them
+/// when there are several.
+fn cmd_experiments(command: &str, opts: &Opts) {
+    let selected: Vec<_> = EXPERIMENTS.iter().filter(|e| e.command == command).collect();
+    for experiment in &selected {
+        let text = (experiment.run)(&opts.scale).text;
+        if selected.len() > 1 {
+            println!("=== {} ===", experiment.heading);
+        }
+        println!("{text}");
     }
 }
 
 fn cmd_report(opts: &Opts) -> Result<()> {
-    let scale = ReportScale {
-        paper_updates: opts.updates,
-        ablation_updates: opts.ablation_updates,
-        seed: opts.seed,
-    };
-    let written = generate_report(&opts.dir, scale)?;
+    let written = generate_report(&opts.dir, opts.scale)?;
     println!("wrote {} artifacts to {}", written.len(), opts.dir.display());
-    Ok(())
-}
-
-fn cmd_demo() -> Result<()> {
-    let config = SystemConfig::builder()
-        .sites(3)
-        .regular_products(1, Volume(90))
-        .non_regular_products(1, Volume(30))
-        .seed(42)
-        .build()?;
-    let mut system = DistributedSystem::new(config);
-    system.enable_trace();
-    system.submit_at(VirtualTime(0), UpdateRequest::new(SiteId(1), ProductId(0), Volume(-20)));
-    system.submit_at(VirtualTime(10), UpdateRequest::new(SiteId(1), ProductId(0), Volume(-25)));
-    system.submit_at(VirtualTime(20), UpdateRequest::new(SiteId(2), ProductId(1), Volume(-5)));
-    system.run_until_quiescent();
-    for (at, site, outcome) in system.drain_outcomes() {
-        println!("t={at:<3} {site}: {outcome:?}");
-    }
-    println!("\nmessage sequence:\n{}", avdb::telemetry::render_sequence(system.trace()));
     Ok(())
 }
 
@@ -587,7 +496,7 @@ fn cmd_top(opts: &TopOpts) -> Result<()> {
     }
 }
 
-const USAGE: &str = "usage: avdb <fig6|table1|ablations|faults|report|demo> \
+const USAGE: &str = "usage: avdb <fig6|table1|ablations|faults|report> \
 [--updates N] [--ablation N] [--seed S] [--dir D]
        avdb serve [--sites N] [--seed S] [--updates N] [--hold-ms MS] \
 [--series-window N] [--addr-file PATH] [--flight-dir DIR]
@@ -620,35 +529,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "fig6" => {
-            cmd_fig6(&opts);
-            Ok(())
-        }
-        "table1" => {
-            cmd_table1(&opts);
-            Ok(())
-        }
-        "ablations" => {
-            cmd_ablations(&opts);
-            Ok(())
-        }
-        "faults" => {
-            cmd_faults(&opts);
-            Ok(())
-        }
-        "report" => cmd_report(&opts),
-        "demo" => cmd_demo(),
-        other => {
-            eprintln!("unknown command {other}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    if cmd == "report" {
+        return match cmd_report(&opts) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
+    if !EXPERIMENTS.iter().any(|e| e.command == cmd) {
+        eprintln!("unknown command {cmd}\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
+    cmd_experiments(cmd, &opts);
+    ExitCode::SUCCESS
 }
